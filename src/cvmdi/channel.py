@@ -37,8 +37,8 @@ class ChannelParams:
                 raise DomainError(f"{name} must lie in [0, 1], got {tau}")
         for name in ("omega_a", "omega_b"):
             omega = getattr(self, name)
-            if omega < 1.0:
-                raise DomainError(f"{name} must be >= 1, got {omega}")
+            if not 1.0 <= omega < math.inf:
+                raise DomainError(f"{name} must be finite and >= 1, got {omega}")
         # Rejects correlations too strong for the thermal variances.
         eve_cm(self)
 

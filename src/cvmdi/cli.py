@@ -127,15 +127,15 @@ def _short_number(x: float) -> str:
     return f"{x:g}".replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
 
 
-def _channel_for(args, tau_b: float) -> ChannelParams:
+def _channel_for(args, tau_a: float, tau_b: float) -> ChannelParams:
     omega_a, omega_b = args.omega_a, args.omega_b
     if args.epsilon is not None:
         omega_a = omega_b = 1.0 + args.epsilon
     if args.attack == "pure-loss":
-        return ChannelParams.pure_loss(args.tau_a, tau_b)
+        return ChannelParams.pure_loss(tau_a, tau_b)
     if args.attack == "collective":
-        return ChannelParams.collective(args.tau_a, tau_b, omega_a, omega_b)
-    return ChannelParams.two_mode_optimal(args.tau_a, tau_b, omega_a, omega_b)
+        return ChannelParams.collective(tau_a, tau_b, omega_a, omega_b)
+    return ChannelParams.two_mode_optimal(tau_a, tau_b, omega_a, omega_b)
 
 
 def _single_tau_b(args) -> float:
@@ -143,6 +143,8 @@ def _single_tau_b(args) -> float:
         if not 0.0 <= args.tau_b <= 1.0:
             raise ConfigurationError(f"tau-b must lie in [0, 1], got {args.tau_b}")
         return args.tau_b
+    if args.bob_db is None:
+        raise ConfigurationError("this command needs --bob-db or --tau-b")
     values = _parse_axis(args.bob_db, "bob-db")
     if len(values) != 1:
         raise ConfigurationError("this command expects a single --bob-db value")
@@ -162,7 +164,7 @@ def _config_dict(args, command: str, **extra) -> dict:
     return config
 
 
-def _finite_spec(args, channel: ChannelParams, n_bar: int) -> OptimizationSpec:
+def _finite_spec(args, channel: ChannelParams, n_bar: int, **extra) -> OptimizationSpec:
     v_m_grid = (_parse_log_axis(args.v_m_grid, "v-m")
                 if args.v_m is None else [args.v_m])
     r_grid = (_parse_axis(args.r_grid, "ratio")
@@ -174,12 +176,13 @@ def _finite_spec(args, channel: ChannelParams, n_bar: int) -> OptimizationSpec:
         delta_prefactor=args.delta_prefactor,
         refinement_rounds=0 if (args.v_m is not None and args.ratio is not None)
         else args.refinement_rounds,
+        **extra,
     )
 
 
 def cmd_rate(args) -> int:
     tau_b = _single_tau_b(args)
-    channel = _channel_for(args, tau_b)
+    channel = _channel_for(args, args.tau_a, tau_b)
     noise = noise_from_attack(channel)
     config = _config_dict(args, "rate")
 
@@ -263,10 +266,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for db in db_values:
         tau = db_to_transmissivity(db)
-        if symmetric:
-            channel = _channel_for_sweep(args, tau, tau)
-        else:
-            channel = _channel_for_sweep(args, args.tau_a, tau)
+        channel = _channel_for(args, tau if symmetric else args.tau_a, tau)
         if args.v_m is not None:
             noise = noise_from_attack(channel)
             k_asym = key_rate_breakdown(ProtocolParams(args.v_m, args.xi),
@@ -296,20 +296,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _channel_for_sweep(args, tau_a: float, tau_b: float) -> ChannelParams:
-    omega_a, omega_b = args.omega_a, args.omega_b
-    if args.epsilon is not None:
-        omega_a = omega_b = 1.0 + args.epsilon
-    if args.attack == "pure-loss":
-        return ChannelParams.pure_loss(tau_a, tau_b)
-    if args.attack == "collective":
-        return ChannelParams.collective(tau_a, tau_b, omega_a, omega_b)
-    return ChannelParams.two_mode_optimal(tau_a, tau_b, omega_a, omega_b)
-
-
 def cmd_modscan(args) -> int:
     tau_b = _single_tau_b(args)
-    channel = _channel_for(args, tau_b)
+    channel = _channel_for(args, args.tau_a, tau_b)
     v_m_values = _parse_log_axis(args.v_m_grid, "v-m")
     config = _config_dict(args, "modscan")
     n_bars = _parse_n_bars(args.n_bar)
@@ -347,7 +336,7 @@ def cmd_modscan(args) -> int:
 
 def cmd_simulate(args) -> int:
     tau_b = _single_tau_b(args)
-    channel = _channel_for(args, tau_b)
+    channel = _channel_for(args, args.tau_a, tau_b)
     spec = SimulationSpec(channel=channel, v_m=args.v_m if args.v_m is not None else 10.0,
                           m=args.m, trials=args.trials, seed=args.seed)
     stats = run_trials(spec)
@@ -380,19 +369,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_optimize(args) -> int:
     tau_b = _single_tau_b(args)
-    channel = _channel_for(args, tau_b)
+    channel = _channel_for(args, args.tau_a, tau_b)
     n_bars = _parse_n_bars(args.n_bar)
     if len(n_bars) != 1:
         raise ConfigurationError("optimize expects a single --n-bar value")
-    spec = OptimizationSpec(
-        channel=channel, xi=args.xi, n_bar=n_bars[0],
-        v_m_grid=tuple(_parse_log_axis(args.v_m_grid, "v-m")),
-        r_grid=tuple(_parse_axis(args.r_grid, "ratio")),
-        eps_pe=args.eps_pe, eps_pa=args.eps_pa, z=args.z,
-        delta_prefactor=args.delta_prefactor,
-        refinement_rounds=args.refinement_rounds,
-        mode=args.mode, seed=args.seed)
-    result = optimize_key_rate(spec)
+    result = optimize_key_rate(_finite_spec(args, channel, n_bars[0],
+                                            mode=args.mode, seed=args.seed))
     config = _config_dict(args, "optimize")
     if args.trace_out is not None:
         _write_output(args.trace_out,

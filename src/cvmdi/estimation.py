@@ -7,12 +7,16 @@ inverse-variance weighting.  Excess noise is the mean squared residual
 after subtracting the reconstructed signal part, minus the shot noise.
 Worst-case bounds follow the z-sigma confidence-interval rule: lower
 transmissivities, upper excess noise.
+
+Every estimator depends on the records only through the mean products of
+(a, b, r) in q and in p: a dataset reduces itself to these two 3x3 moment
+matrices once, when it is built, and each estimator is an O(1) read of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,7 +25,6 @@ from .errors import ConfigurationError, DatasetError, DomainError
 
 CSV_HEADER = "a_q,a_p,b_q,b_p,r_q,r_p"
 
-_SQRT_HALF = math.sqrt(0.5)
 _FIELDS = ("a_q", "a_p", "b_q", "b_p", "r_q", "r_p")
 # Floor for plug-in total noise so that degenerate (signal-free) records do
 # not poison the variance formulas with a non-positive variance.
@@ -38,6 +41,8 @@ class QuadratureDataset:
     b_p: np.ndarray
     r_q: np.ndarray
     r_p: np.ndarray
+    # Mean products (1/m) x.y over (a, b, r), q then p: all the estimators read.
+    moments: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lengths = set()
@@ -51,6 +56,16 @@ class QuadratureDataset:
             raise DatasetError(f"columns have mismatched lengths {sorted(lengths)}")
         if self.m < 2:
             raise DatasetError(f"need at least 2 samples per column, got {self.m}")
+        moments = np.empty((2, 3, 3))
+        for quad, cols in enumerate(((self.a_q, self.b_q, self.r_q),
+                                     (self.a_p, self.b_p, self.r_p))):
+            for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+                moments[quad, i, j] = moments[quad, j, i] = cols[i] @ cols[j] / self.m
+        # A NaN or infinite record always reaches its own mean square.
+        if not np.isfinite(moments).all():
+            raise DatasetError("records must be finite: a column holds NaN, "
+                               "an infinity or a value too large to square")
+        object.__setattr__(self, "moments", moments)
 
     @property
     def m(self) -> int:
@@ -76,9 +91,9 @@ class QuadratureDataset:
 
 
 def _check_v_m(v_m: float) -> None:
-    if v_m <= 0.0:
+    if not 0.0 < v_m < math.inf:
         raise ConfigurationError(
-            f"modulation variance must be positive for estimation, got {v_m}")
+            f"modulation variance must be finite and positive for estimation, got {v_m}")
 
 
 def estimate_covariances(d: QuadratureDataset) -> tuple[float, float, float, float]:
@@ -89,9 +104,8 @@ def estimate_covariances(d: QuadratureDataset) -> tuple[float, float, float, flo
     alice-q covariance comes out negative; the transmissivity estimator
     squares it away.
     """
-    m = d.m
-    return (float(d.a_q @ d.r_q) / m, float(d.a_p @ d.r_p) / m,
-            float(d.b_q @ d.r_q) / m, float(d.b_p @ d.r_p) / m)
+    g_q, g_p = d.moments
+    return (float(g_q[0, 2]), float(g_p[0, 2]), float(g_q[1, 2]), float(g_p[1, 2]))
 
 
 def transmissivities_per_quadrature(
@@ -113,7 +127,6 @@ def estimate_transmissivities(d: QuadratureDataset, v_m: float) -> tuple[float, 
     residual-based noise estimate); they only deviate from 1/2 when the
     two quadratures see different noise.
     """
-    _check_v_m(v_m)
     ta_q, ta_p, tb_q, tb_p = transmissivities_per_quadrature(d, v_m)
     ta0 = 0.5 * (ta_q + ta_p)
     tb0 = 0.5 * (tb_q + tb_p)
@@ -141,12 +154,21 @@ def estimate_excess_noise(d: QuadratureDataset, tau_a_hat: float,
     negative; an exactly signal-free record bottoms out at -1, the
     residual-free floor left by the shot-noise subtraction.
     """
-    root_a = math.sqrt(min(max(tau_a_hat, 0.0), 1.0))
-    root_b = math.sqrt(min(max(tau_b_hat, 0.0), 1.0))
-    res_q = d.r_q - _SQRT_HALF * (root_b * d.b_q - root_a * d.a_q)
-    res_p = d.r_p - _SQRT_HALF * (root_b * d.b_p + root_a * d.a_p)
-    m = d.m
-    return float(res_q @ res_q) / m - 1.0, float(res_p @ res_p) / m - 1.0
+    power_q, power_p = _residual_power(d, tau_a_hat, tau_b_hat)
+    return power_q - 1.0, power_p - 1.0
+
+
+def _residual_power(d: QuadratureDataset, tau_a: float,
+                    tau_b: float) -> tuple[float, float]:
+    """Mean squares (q, p) of r - sqrt(tau_b/2) b -+ sqrt(tau_a/2) a, the relay
+    record less its signal part, as w.G.w with w = (+-sqrt(tau_a/2),
+    -sqrt(tau_b/2), 1) and G the quadrature's moment matrix."""
+    half_a = math.sqrt(min(max(tau_a, 0.0), 1.0) / 2.0)
+    half_b = math.sqrt(min(max(tau_b, 0.0), 1.0) / 2.0)
+    g_q, g_p = d.moments
+    w_q = np.array([half_a, -half_b, 1.0])
+    w_p = np.array([-half_a, -half_b, 1.0])
+    return float(w_q @ g_q @ w_q), float(w_p @ g_p @ w_p)
 
 
 def transmissivity_variance(tau_a: float, tau_b: float, v_m: float,
@@ -198,9 +220,12 @@ class EstimationReport:
         stds = (self.tau_a_std, self.tau_b_std, self.excess_q_std, self.excess_p_std)
         if min(stds) < 0.0:
             raise DomainError("standard deviations must be >= 0")
-        if self.bounded:
-            assert self.tau_a_low <= self.tau_a and self.tau_b_low <= self.tau_b
-            assert self.excess_q_up >= self.excess_q and self.excess_p_up >= self.excess_p
+        if self.bounded and not (
+                self.tau_a_low <= self.tau_a and self.tau_b_low <= self.tau_b
+                and self.excess_q_up >= self.excess_q
+                and self.excess_p_up >= self.excess_p):
+            raise DomainError("worst-case bounds must lie below the transmissivities "
+                              "and above the excess noise")
 
     @property
     def bounded(self) -> bool:
@@ -215,8 +240,8 @@ def worst_case(report: EstimationReport, z: float | None = None) -> EstimationRe
     1e-10 level for Gaussian spreads.
     """
     z = report.z if z is None else float(z)
-    if z < 0.0:
-        raise DomainError(f"confidence multiplier must be >= 0, got {z}")
+    if not 0.0 <= z < math.inf:
+        raise DomainError(f"z (confidence multiplier) must be finite and >= 0, got {z}")
     return replace(
         report,
         z=z,

@@ -38,8 +38,9 @@ class FiniteSizeParams:
             eps = getattr(self, name)
             if not 0.0 < eps < 1.0:
                 raise DomainError(f"{name} must lie in (0, 1), got {eps}")
-        if self.z < 0.0:
-            raise DomainError(f"confidence multiplier must be >= 0, got {self.z}")
+        if not 0.0 <= self.z < math.inf:
+            raise DomainError(
+                f"z (confidence multiplier) must be finite and >= 0, got {self.z}")
 
     @property
     def n(self) -> int:
@@ -72,6 +73,8 @@ def finite_size_penalty(n: int, eps_pa: float, prefactor: float = 1.0) -> float:
         raise DomainError(f"key signal count must be >= 1, got {n}")
     if not 0.0 < eps_pa < 1.0:
         raise DomainError(f"eps_pa must lie in (0, 1), got {eps_pa}")
+    if not 0.0 <= prefactor < math.inf:
+        raise DomainError(f"delta prefactor must be finite and >= 0, got {prefactor}")
     return prefactor * math.sqrt(math.log2(2.0 / eps_pa) / n)
 
 

@@ -27,8 +27,9 @@ class ProtocolParams:
     xi: float = 1.0
 
     def __post_init__(self):
-        if self.v_m < 0.0:
-            raise DomainError(f"modulation variance must be >= 0, got {self.v_m}")
+        if not 0.0 <= self.v_m < math.inf:
+            raise DomainError(f"v_m (modulation variance) must be finite and >= 0, "
+                              f"got {self.v_m}")
         if not 0.0 < self.xi <= 1.0:
             raise DomainError(
                 f"reconciliation efficiency must lie in (0, 1], got {self.xi}")

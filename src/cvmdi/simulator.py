@@ -23,6 +23,7 @@ import numpy as np
 from .channel import ChannelParams, NoiseVars, noise_from_attack
 from .errors import DomainError
 from .estimation import (
+    _residual_power,
     estimate_channel,
     estimate_covariances,
     excess_noise_variance,
@@ -45,8 +46,9 @@ class SimulationSpec:
     seed: int
 
     def __post_init__(self):
-        if self.v_m < 0.0:
-            raise DomainError(f"modulation variance must be >= 0, got {self.v_m}")
+        if not 0.0 <= self.v_m < math.inf:
+            raise DomainError(f"v_m (modulation variance) must be finite and >= 0, "
+                              f"got {self.v_m}")
         if self.m < 2:
             raise DomainError(f"samples per trial must be >= 2, got {self.m}")
         if self.trials < 1:
@@ -226,24 +228,21 @@ def run_trials(spec: SimulationSpec) -> TrialStatistics:
     Each trial owns its own RNG stream derived from (seed, trial index);
     aggregation uses order-independent moment sums.  The chi-square
     statistic (normalized residual sum at the true parameters) is tracked
-    alongside the estimators as a distributional cross-check.
+    alongside the estimators as a distributional cross-check.  Every one is
+    read from the moments the block is reduced to once, when it is drawn.
     """
     channel = spec.channel
     noise = noise_from_attack(channel)
     acc = {name: _Moments() for name in _TRACKED}
-    root_a = math.sqrt(channel.tau_a)
-    root_b = math.sqrt(channel.tau_b)
 
     for trial in range(spec.trials):
         d = sample_dataset(spec, trial)
         c_aq, c_ap, c_bq, c_bp = estimate_covariances(d)
         ta_q, ta_p, tb_q, tb_p = transmissivities_per_quadrature(d, spec.v_m)
         report = estimate_channel(d, spec.v_m)
-
-        res_q = d.r_q - _SQRT_HALF * (root_b * d.b_q - root_a * d.a_q)
-        res_p = d.r_p - _SQRT_HALF * (root_b * d.b_p + root_a * d.a_p)
-        chi2_q = float(res_q @ res_q) / noise.total_q
-        chi2_p = float(res_p @ res_p) / noise.total_p
+        power_q, power_p = _residual_power(d, channel.tau_a, channel.tau_b)
+        chi2_q = spec.m * power_q / noise.total_q
+        chi2_p = spec.m * power_p / noise.total_p
 
         acc["tau_a"].add(report.tau_a)
         acc["tau_b"].add(report.tau_b)

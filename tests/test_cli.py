@@ -61,7 +61,7 @@ class TestRate:
         # force an unphysical matrix through a direct channel construction
         from cvmdi import cli as cli_module
 
-        def boom(args, tau_b):
+        def boom(args, tau_a, tau_b):
             from cvmdi.errors import PhysicalityError
             raise PhysicalityError("synthetic")
 
@@ -203,3 +203,32 @@ class TestOptimize:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["command"] == "optimize"
+
+    @pytest.mark.parametrize("mode, n_bar", [("analysis", "1e9"), ("protocol", "1e5")])
+    def test_pinned_point_is_the_one_evaluated(self, capsys, mode, n_bar):
+        code = run_cli("optimize", "--bob-db", "2", "--n-bar", n_bar,
+                       "--v-m", "5", "--ratio", "0.5", "--mode", mode)
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["v_m"], payload["ratio"], payload["evaluations"]) == (5.0, 0.5, 1)
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command", ["simulate", "modscan"])
+    def test_missing_link_flag_exits_two(self, capsys, command):
+        assert run_cli(command) == 2
+        assert "--bob-db or --tau-b" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, name", [
+        (("rate", "--n-bar", "1e6", "--z", "nan"), "z"),
+        (("rate", "--n-bar", "1e6", "--z", "inf"), "z"),
+        (("simulate", "--tau-b", "0.5", "--v-m", "nan", "--m", "100",
+          "--trials", "2"), "v_m"),
+        (("rate", "--v-m", "nan"), "v_m"),
+        (("rate", "--omega-a", "nan"), "omega_a"),
+        (("rate", "--n-bar", "1e6", "--delta-prefactor", "nan"), "delta prefactor"),
+        (("rate", "--n-bar", "1e6", "--delta-prefactor", "-1"), "delta prefactor"),
+    ])
+    def test_invalid_number_exits_two_naming_it(self, capsys, argv, name):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} ")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cvmdi import (
+    ChannelParams,
     ConfigurationError,
     DatasetError,
     estimate_channel,
@@ -15,6 +16,9 @@ from cvmdi import (
     NoiseVars,
     QuadratureDataset,
     report_from_parameters,
+    run_trials,
+    sample_dataset,
+    SimulationSpec,
     transmissivities_per_quadrature,
     transmissivity_variance,
     worst_case,
@@ -31,6 +35,100 @@ def make_dataset(rng, m, tau_a, tau_b, v_m, noise=PURE_LOSS):
     r_q = (math.sqrt(tau_b) * b_q - math.sqrt(tau_a) * a_q) / math.sqrt(2) + n_q
     r_p = (math.sqrt(tau_b) * b_p + math.sqrt(tau_a) * a_p) / math.sqrt(2) + n_p
     return QuadratureDataset(a_q, a_p, b_q, b_p, r_q, r_p)
+
+
+# Per-record reference: the estimators written as passes over the records,
+# which the library replaces with reads of the per-quadrature moments.
+
+def ref_covariances(d):
+    m = d.m
+    return (float(d.a_q @ d.r_q) / m, float(d.a_p @ d.r_p) / m,
+            float(d.b_q @ d.r_q) / m, float(d.b_p @ d.r_p) / m)
+
+
+def ref_per_quadrature(d, v_m):
+    return tuple(2.0 * c * c / (v_m * v_m) for c in ref_covariances(d))
+
+
+def ref_residuals(d, tau_a, tau_b):
+    root_a = math.sqrt(min(max(tau_a, 0.0), 1.0))
+    root_b = math.sqrt(min(max(tau_b, 0.0), 1.0))
+    res_q = d.r_q - (root_b * d.b_q - root_a * d.a_q) / math.sqrt(2)
+    res_p = d.r_p - (root_b * d.b_p + root_a * d.a_p) / math.sqrt(2)
+    return res_q, res_p
+
+
+def ref_excess_noise(d, tau_a, tau_b):
+    res_q, res_p = ref_residuals(d, tau_a, tau_b)
+    return float(res_q @ res_q) / d.m - 1.0, float(res_p @ res_p) / d.m - 1.0
+
+
+def ref_estimate_channel(d, v_m):
+    def plugin(excess):
+        return NoiseVars(*(max(e, 1e-12 - 1.0) for e in excess))
+
+    def combine(est_q, est_p, variances):
+        var_q, var_p, _ = variances
+        return (est_q * var_p + est_p * var_q) / (var_q + var_p)
+
+    ta_q, ta_p, tb_q, tb_p = ref_per_quadrature(d, v_m)
+    ta0, tb0 = 0.5 * (ta_q + ta_p), 0.5 * (tb_q + tb_p)
+    noise = plugin(ref_excess_noise(d, ta0, tb0))
+    tau_a = combine(ta_q, ta_p, transmissivity_variance(ta0, tb0, v_m, noise, d.m))
+    tau_b = combine(tb_q, tb_p, transmissivity_variance(tb0, ta0, v_m, noise, d.m))
+    excess = ref_excess_noise(d, tau_a, tau_b)
+    noise = plugin(excess)
+    var_a = transmissivity_variance(tau_a, tau_b, v_m, noise, d.m)[2]
+    var_b = transmissivity_variance(tau_b, tau_a, v_m, noise, d.m)[2]
+    s_q_sq, s_p_sq = excess_noise_variance(noise, d.m)
+    return worst_case(EstimationReport(
+        tau_a, tau_b, math.sqrt(var_a), math.sqrt(var_b), *excess,
+        math.sqrt(s_q_sq), math.sqrt(s_p_sq)))
+
+
+class TestMomentsAgainstRecords:
+    """Estimators read from the moments agree with the per-record passes."""
+
+    ATOL = 1e-10
+
+    @pytest.mark.parametrize("tau_b", [0.3, 1.0])
+    @pytest.mark.parametrize("v_m", [2.0, 10.0, 1000.0])
+    def test_estimators(self, v_m, tau_b):
+        rng = np.random.default_rng([int(v_m), int(10 * tau_b)])
+        # unequal noise makes the inverse-variance weights differ from 1/2
+        d = make_dataset(rng, 20_000, 0.9, tau_b, v_m, NoiseVars(0.05, 0.01))
+        close = dict(rtol=0.0, atol=self.ATOL)
+        np.testing.assert_allclose(estimate_covariances(d), ref_covariances(d), **close)
+        np.testing.assert_allclose(transmissivities_per_quadrature(d, v_m),
+                                   ref_per_quadrature(d, v_m), **close)
+        for tau_a_hat, tau_b_hat in ((0.9, tau_b), (-0.2, 1.3), (0.0, 0.0)):
+            np.testing.assert_allclose(
+                estimate_excess_noise(d, tau_a_hat, tau_b_hat),
+                ref_excess_noise(d, tau_a_hat, tau_b_hat), **close)
+        got, want = estimate_channel(d, v_m), ref_estimate_channel(d, v_m)
+        fields = ("tau_a", "tau_b", "tau_a_std", "tau_b_std", "excess_q",
+                  "excess_p", "excess_q_std", "excess_p_std", "tau_a_low",
+                  "tau_b_low", "excess_q_up", "excess_p_up")
+        np.testing.assert_allclose([getattr(got, f) for f in fields],
+                                   [getattr(want, f) for f in fields], **close)
+
+    @pytest.mark.parametrize("tau_b", [0.3, 1.0])
+    @pytest.mark.parametrize("v_m", [2.0, 10.0, 1000.0])
+    def test_chi_square_means(self, v_m, tau_b):
+        channel = ChannelParams.two_mode_optimal(0.9, tau_b, 1.02, 1.01)
+        spec = SimulationSpec(channel, v_m, 2000, 4, seed=17)
+        stats = run_trials(spec)
+        totals = (1.0 + stats.noise.excess_q, 1.0 + stats.noise.excess_p)
+        chi2 = np.zeros(2)
+        for trial in range(spec.trials):
+            residuals = ref_residuals(sample_dataset(spec, trial),
+                                      channel.tau_a, channel.tau_b)
+            chi2 += [float(res @ res) / total for res, total in zip(residuals, totals)]
+        # chi^2 grows with m, so it is compared per record, on the scale of
+        # the excess noise
+        np.testing.assert_allclose(
+            np.array([stats.means["chi2_q"], stats.means["chi2_p"]]) / spec.m,
+            chi2 / spec.trials / spec.m, rtol=0.0, atol=self.ATOL)
 
 
 class TestQuadratureDataset:
@@ -63,6 +161,17 @@ class TestQuadratureDataset:
         d = QuadratureDataset.from_csv(path)
         assert d.m == 2
         assert d.r_q[0] == 5.0
+
+    def test_non_finite_records_rejected(self, tmp_path):
+        for bad in (np.nan, np.inf, -np.inf):
+            cols = [np.ones(4) for _ in range(6)]
+            cols[4][2] = bad
+            with pytest.raises(DatasetError, match="finite"):
+                QuadratureDataset(*cols)
+        path = tmp_path / "nan.csv"
+        path.write_text("a_q,a_p,b_q,b_p,r_q,r_p\n1,2,3,4,5,6\n1,nan,3,4,5,6\n")
+        with pytest.raises(DatasetError, match="finite"):
+            QuadratureDataset.from_csv(path)
 
     def test_csv_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
