@@ -39,6 +39,10 @@ class ChannelParams:
             omega = getattr(self, name)
             if not 1.0 <= omega < math.inf:
                 raise DomainError(f"{name} must be finite and >= 1, got {omega}")
+        for name in ("corr_q", "corr_p"):
+            corr = getattr(self, name)
+            if not math.isfinite(corr):
+                raise DomainError(f"{name} must be finite, got {corr}")
         # Rejects correlations too strong for the thermal variances.
         eve_cm(self)
 
@@ -71,6 +75,10 @@ class NoiseVars:
     excess_p: float
 
     def __post_init__(self):
+        for name in ("excess_q", "excess_p"):
+            excess = getattr(self, name)
+            if not math.isfinite(excess):
+                raise DomainError(f"{name} must be finite, got {excess}")
         if 1.0 + self.excess_q <= 0.0 or 1.0 + self.excess_p <= 0.0:
             raise ConfigurationError(
                 "total relay noise must stay positive; attack is noisier than "
@@ -103,7 +111,7 @@ def eve_cm(params: ChannelParams) -> np.ndarray:
         [0.0, gp, 0.0, wb],
     ])
     nu_min = min_symplectic_eigenvalue(cm)
-    if nu_min < 1.0 - PHYSICALITY_TOL:
+    if not nu_min >= 1.0 - PHYSICALITY_TOL:
         raise PhysicalityError(
             "attack covariance matrix is unphysical: smallest symplectic "
             f"eigenvalue {nu_min:.12g} < 1")

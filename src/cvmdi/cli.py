@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,11 +26,7 @@ from .errors import (
     PhysicalityError,
 )
 from .estimation import report_from_parameters
-from .finite_size import (
-    FiniteSizeParams,
-    finite_size_penalty,
-    projected_key_rate,
-)
+from .finite_size import FiniteSizeParams, finite_size_penalty
 from .keyrate import key_rate_breakdown, ProtocolParams
 from .optimizer import (
     default_r_grid,
@@ -164,9 +161,12 @@ def _config_dict(args, command: str, **extra) -> dict:
     return config
 
 
-def _finite_spec(args, channel: ChannelParams, n_bar: int, **extra) -> OptimizationSpec:
-    v_m_grid = (_parse_log_axis(args.v_m_grid, "v-m")
-                if args.v_m is None else [args.v_m])
+def _finite_spec(args, channel: ChannelParams, n_bar: int, v_m: float | None = None,
+                 **extra) -> OptimizationSpec:
+    """Search spec from the command line; v_m, when given, overrides --v-m."""
+    if v_m is None:
+        v_m = args.v_m
+    v_m_grid = _parse_log_axis(args.v_m_grid, "v-m") if v_m is None else [v_m]
     r_grid = (_parse_axis(args.r_grid, "ratio")
               if args.ratio is None else [args.ratio])
     return OptimizationSpec(
@@ -174,7 +174,7 @@ def _finite_spec(args, channel: ChannelParams, n_bar: int, **extra) -> Optimizat
         v_m_grid=tuple(v_m_grid), r_grid=tuple(r_grid),
         eps_pe=args.eps_pe, eps_pa=args.eps_pa, z=args.z,
         delta_prefactor=args.delta_prefactor,
-        refinement_rounds=0 if (args.v_m is not None and args.ratio is not None)
+        refinement_rounds=0 if (v_m is not None and args.ratio is not None)
         else args.refinement_rounds,
         **extra,
     )
@@ -306,23 +306,13 @@ def cmd_modscan(args) -> int:
         raise ConfigurationError("modscan expects a single --n-bar value")
     n_bar = n_bars[0]
 
+    if args.optimize_ratio and args.ratio is not None:
+        raise ConfigurationError(
+            "--ratio pins the key fraction; it cannot be combined with --optimize-ratio")
+
     rows = []
     for v_m in v_m_values:
-        if args.optimize_ratio:
-            spec = OptimizationSpec(
-                channel=channel, xi=args.xi, n_bar=n_bar,
-                v_m_grid=(v_m,),
-                r_grid=tuple(_parse_axis(args.r_grid, "ratio")),
-                eps_pe=args.eps_pe, eps_pa=args.eps_pa, z=args.z,
-                delta_prefactor=args.delta_prefactor,
-                refinement_rounds=args.refinement_rounds)
-            rate = optimize_key_rate(spec).rate
-        else:
-            fs = FiniteSizeParams.from_ratio(n_bar, args.ratio,
-                                             eps_pe=args.eps_pe,
-                                             eps_pa=args.eps_pa, z=args.z)
-            rate = projected_key_rate(ProtocolParams(v_m, args.xi), channel, fs,
-                                      args.delta_prefactor)
+        rate = optimize_key_rate(_finite_spec(args, channel, n_bar, v_m=v_m)).rate
         rows.append((v_m, rate))
 
     if args.format == "json":
@@ -335,6 +325,9 @@ def cmd_modscan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if not 0.0 <= args.tolerance < math.inf:
+        raise ConfigurationError(
+            f"tolerance must be finite and >= 0, got {args.tolerance}")
     tau_b = _single_tau_b(args)
     channel = _channel_for(args, args.tau_a, tau_b)
     spec = SimulationSpec(channel=channel, v_m=args.v_m if args.v_m is not None else 10.0,
@@ -459,7 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_arguments(modscan, db_default=None)
     _add_protocol_arguments(modscan)
     _add_finite_arguments(modscan, n_bar_default="1e6")
-    modscan.add_argument("--optimize-ratio", action="store_true")
+    modscan.add_argument("--optimize-ratio", action="store_true",
+                         help="optimize the key fraction over --r-grid for each "
+                              "v_m (also the default without --ratio)")
     modscan.add_argument("--out", type=str, default=None)
     modscan.add_argument("--format", choices=("csv", "json"), default="csv")
     modscan.set_defaults(func=cmd_modscan)

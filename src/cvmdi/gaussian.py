@@ -114,28 +114,35 @@ def _qp_separable(v: np.ndarray) -> bool:
 
 
 def _separable_spectrum(v: np.ndarray) -> list[float]:
-    """Spectrum of a q/p-separable two-mode matrix, without cancellation.
+    return list(separable_spectrum(v[0, 0], v[0, 2], v[2, 2],
+                                   v[1, 1], v[1, 3], v[3, 3]))
 
-    For such matrices the squared symplectic eigenvalues are the eigenvalues
-    of Vq @ Vp.  Solving that 2x2 problem keeps the rounding error linear in
-    machine precision even for near-pure states, where the generic invariant
-    formula loses half its digits to the sqrt of a vanishing discriminant.
+
+def separable_spectrum(q11: float, q12: float, q22: float,
+                       p11: float, p12: float, p22: float) -> tuple[float, float]:
+    """Spectrum (hi, lo) of a q/p-separable two-mode matrix, without cancellation.
+
+    The arguments are the entries of the q block Vq = [[q11, q12], [q12, q22]]
+    and the p block Vp, mode 1 first.  For such matrices the squared
+    symplectic eigenvalues are the eigenvalues of Vq @ Vp.  Solving that 2x2
+    problem keeps the rounding error linear in machine precision even for
+    near-pure states, where the generic invariant formula loses half its
+    digits to the sqrt of a vanishing discriminant.
     """
-    q11, q12, q22 = v[0, 0], v[0, 2], v[2, 2]
-    p11, p12, p22 = v[1, 1], v[1, 3], v[3, 3]
     m11 = q11 * p11 + q12 * p12
     m12 = q11 * p12 + q12 * p22
     m21 = q12 * p11 + q22 * p12
     m22 = q12 * p12 + q22 * p22
     trace = m11 + m22
-    disc = (m11 - m22) ** 2 + 4.0 * m12 * m21
+    gap = m11 - m22
+    disc = gap * gap + 4.0 * m12 * m21
     root = _clamped_root(disc, scale=trace * trace)
     hi_sq = 0.5 * (trace + root)
     if hi_sq <= 0.0:
         raise NumericalDegeneracyError(f"two-mode trace {trace} is not positive")
     det_m = (q11 * q22 - q12 * q12) * (p11 * p22 - p12 * p12)
     lo_sq = det_m / hi_sq
-    return [math.sqrt(hi_sq), _clamped_root(lo_sq, scale=1.0)]
+    return math.sqrt(hi_sq), _clamped_root(lo_sq, scale=1.0)
 
 
 def min_symplectic_eigenvalue(v) -> float:
@@ -153,9 +160,18 @@ def von_neumann_entropy(v) -> float:
     Zero exactly for pure states.  Eigenvalues inside the clamping band
     below 1 contribute nothing; anything lower raises PhysicalityError.
     """
+    return spectrum_entropy(symplectic_eigenvalues(v))
+
+
+def spectrum_entropy(nus) -> float:
+    """Sum of h(nu) over a symplectic spectrum, in bits.
+
+    Eigenvalues inside the clamping band below 1 contribute nothing; lower
+    ones, and NaN, raise PhysicalityError.
+    """
     total = 0.0
-    for nu in symplectic_eigenvalues(v):
-        if nu < 1.0 - PHYSICALITY_TOL:
+    for nu in nus:
+        if not nu >= 1.0 - PHYSICALITY_TOL:
             raise PhysicalityError(
                 f"unphysical covariance matrix: symplectic eigenvalue {nu:.12g} < 1")
         if nu > 1.0:

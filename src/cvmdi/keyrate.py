@@ -5,6 +5,12 @@ state; Alice's heterodyne detection then conditions Bob's mode further.
 The achievable rate is the reconciliation-scaled mutual information minus
 the Holevo bound on the eavesdropper, both computed from these conditional
 covariance matrices.
+
+The joint state is always q/p-separable, so key_rate_breakdown evaluates
+the rate in closed form from the matrix entries: the spectrum comes from
+gaussian.separable_spectrum, in plain floats, with no matrix built.
+conditional_cms with mutual_information and holevo_bound is the general
+4x4 route, kept as the oracle the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -16,7 +22,13 @@ import numpy as np
 
 from .channel import NoiseVars
 from .errors import ConfigurationError, DomainError, PhysicalityError
-from .gaussian import PHYSICALITY_TOL, symplectic_eigenvalues, von_neumann_entropy
+from .gaussian import (
+    PHYSICALITY_TOL,
+    separable_spectrum,
+    spectrum_entropy,
+    symplectic_eigenvalues,
+    von_neumann_entropy,
+)
 
 
 @dataclass(frozen=True)
@@ -53,9 +65,15 @@ class ConditionalState:
     bob_eigenvalue: float
 
 
-def conditional_cms(protocol: ProtocolParams, tau_a: float, tau_b: float,
-                    noise: NoiseVars) -> ConditionalState:
-    """Conditional covariance matrices for the given links and relay noise."""
+def _conditional_entries(protocol: ProtocolParams, tau_a: float, tau_b: float,
+                         noise: NoiseVars):
+    """Entries of the conditional states, after the checks both routes share.
+
+    Returns ((q11, q12, q22), (p11, p12, p22), (bob_q, bob_p),
+    (denom_q, denom_p)): the q and p blocks of the joint matrix (Alice's
+    mode first), Bob's variances once Alice's outcome is known as well,
+    and the per-quadrature conditioning denominators.
+    """
     if not 0.0 <= tau_a <= 1.0 or not 0.0 <= tau_b <= 1.0:
         raise DomainError(f"transmissivities must lie in [0, 1], got ({tau_a}, {tau_b})")
     v_m = protocol.v_m
@@ -67,15 +85,14 @@ def conditional_cms(protocol: ProtocolParams, tau_a: float, tau_b: float,
             "degenerate configuration: conditioning denominators "
             f"({denom_q}, {denom_p}) must be positive")
 
+    # Each quadrature block is mu * I - (strength / denom) * [[tau_a, -s * cross],
+    # [-s * cross, tau_b]], with s = +1 on q and s = -1 on p.
     strength = v_m * (v_m + 2.0)
     cross = math.sqrt(tau_a * tau_b)
-    reduction = np.array([
-        [tau_a / denom_q, 0.0, -cross / denom_q, 0.0],
-        [0.0, tau_a / denom_p, 0.0, cross / denom_p],
-        [-cross / denom_q, 0.0, tau_b / denom_q, 0.0],
-        [0.0, cross / denom_p, 0.0, tau_b / denom_p],
-    ])
-    cm_joint = mu * np.eye(4) - strength * reduction
+    q = (mu - strength * (tau_a / denom_q), strength * (cross / denom_q),
+         mu - strength * (tau_b / denom_q))
+    p = (mu - strength * (tau_a / denom_p), -(strength * (cross / denom_p)),
+         mu - strength * (tau_b / denom_p))
 
     bob_q = ((2.0 * mu * noise.total_q - tau_b * v_m)
              / (2.0 * noise.total_q + tau_b * v_m))
@@ -84,17 +101,40 @@ def conditional_cms(protocol: ProtocolParams, tau_a: float, tau_b: float,
     if bob_q <= 0.0 or bob_p <= 0.0:
         raise PhysicalityError(
             f"conditional Bob variances ({bob_q}, {bob_p}) are not positive")
-    cm_bob = np.diag([bob_q, bob_p])
+    return q, p, (bob_q, bob_p), (denom_q, denom_p)
 
-    nu_min = symplectic_eigenvalues(cm_joint)[-1]
-    if nu_min < 1.0 - PHYSICALITY_TOL:
+
+def _check_physical(nu_min: float, bob_eigenvalue: float) -> None:
+    # Written so that NaN fails too.
+    if not nu_min >= 1.0 - PHYSICALITY_TOL:
         raise PhysicalityError(
             f"conditional joint state is unphysical: eigenvalue {nu_min:.12g} < 1")
-    bob_eigenvalue = math.sqrt(bob_q * bob_p)
-    if bob_eigenvalue < 1.0 - PHYSICALITY_TOL:
+    if not bob_eigenvalue >= 1.0 - PHYSICALITY_TOL:
         raise PhysicalityError(
             f"conditional Bob state is unphysical: eigenvalue {bob_eigenvalue:.12g} < 1")
+
+
+def conditional_cms(protocol: ProtocolParams, tau_a: float, tau_b: float,
+                    noise: NoiseVars) -> ConditionalState:
+    """Conditional covariance matrices for the given links and relay noise."""
+    (q11, q12, q22), (p11, p12, p22), (bob_q, bob_p), (denom_q, denom_p) = \
+        _conditional_entries(protocol, tau_a, tau_b, noise)
+    cm_joint = np.array([
+        [q11, 0.0, q12, 0.0],
+        [0.0, p11, 0.0, p12],
+        [q12, 0.0, q22, 0.0],
+        [0.0, p12, 0.0, p22],
+    ])
+    cm_bob = np.diag([bob_q, bob_p])
+    bob_eigenvalue = math.sqrt(bob_q * bob_p)
+    _check_physical(symplectic_eigenvalues(cm_joint)[-1], bob_eigenvalue)
     return ConditionalState(cm_joint, cm_bob, denom_q, denom_p, bob_eigenvalue)
+
+
+def _mutual_information(vq_relay: float, vp_relay: float,
+                        vq_cond: float, vp_cond: float) -> float:
+    return (0.5 * math.log2((vq_relay + 1.0) / (vq_cond + 1.0))
+            + 0.5 * math.log2((vp_relay + 1.0) / (vp_cond + 1.0)))
 
 
 def mutual_information(state: ConditionalState) -> float:
@@ -103,12 +143,8 @@ def mutual_information(state: ConditionalState) -> float:
     Uses Bob's variances before and after conditioning on Alice:
     (1/2) log2((V+1)/(V'+1)) summed over the two quadratures.
     """
-    vq_relay = state.cm_joint[2, 2]
-    vp_relay = state.cm_joint[3, 3]
-    vq_cond = state.cm_bob[0, 0]
-    vp_cond = state.cm_bob[1, 1]
-    return (0.5 * math.log2((vq_relay + 1.0) / (vq_cond + 1.0))
-            + 0.5 * math.log2((vp_relay + 1.0) / (vp_cond + 1.0)))
+    return _mutual_information(state.cm_joint[2, 2], state.cm_joint[3, 3],
+                               state.cm_bob[0, 0], state.cm_bob[1, 1])
 
 
 def holevo_bound(state: ConditionalState) -> float:
@@ -129,10 +165,18 @@ class RateBreakdown:
 
 def key_rate_breakdown(protocol: ProtocolParams, tau_a: float, tau_b: float,
                        noise: NoiseVars) -> RateBreakdown:
-    """Mutual information, Holevo bound and asymptotic rate in one pass."""
-    state = conditional_cms(protocol, tau_a, tau_b, noise)
-    i_ab = mutual_information(state)
-    i_h = holevo_bound(state)
+    """Mutual information, Holevo bound and asymptotic rate in one pass.
+
+    Closed form on the conditional-state entries; it equals the 4x4 route
+    (conditional_cms, mutual_information, holevo_bound) up to rounding and
+    raises the same errors.
+    """
+    q, p, (bob_q, bob_p), _ = _conditional_entries(protocol, tau_a, tau_b, noise)
+    spectrum = separable_spectrum(*q, *p)
+    bob_eigenvalue = math.sqrt(bob_q * bob_p)
+    _check_physical(spectrum[1], bob_eigenvalue)
+    i_ab = _mutual_information(q[2], p[2], bob_q, bob_p)
+    i_h = spectrum_entropy(spectrum) - spectrum_entropy((bob_eigenvalue,))
     return RateBreakdown(i_ab, i_h, protocol.xi * i_ab - i_h)
 
 

@@ -9,6 +9,7 @@ that case is reported through a flag, not an error.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -80,34 +81,61 @@ class OptimizationResult:
     trace: list[tuple[float, float, float]]
 
 
-def _better(candidate: tuple[float, float, float],
-            best: tuple[float, float, float]) -> bool:
-    # Larger rate wins; ties prefer smaller v_m, then larger ratio.
+def _better(candidate: tuple[float, ...], best: tuple[float, ...]) -> bool:
+    # Candidates are (rate, v_m[, ratio]).  Larger rate wins; ties prefer
+    # smaller v_m, then larger ratio.
     if candidate[0] != best[0]:
         return candidate[0] > best[0]
     if candidate[1] != best[1]:
         return candidate[1] < best[1]
-    return candidate[2] > best[2]
+    return candidate[2:] > best[2:]
 
 
 def _log_window(center: float, count: int, lo: float, hi: float,
-                span: float) -> list[float]:
-    """Log-spaced window of `span` decades around center, kept inside [lo, hi]."""
+                shrink: float) -> list[float]:
+    """Log-spaced window over 1/shrink of the decades of [lo, hi], centred
+    on center as far as the bounds allow."""
     lo_l, hi_l = math.log10(lo), math.log10(hi)
-    width = min(span, hi_l - lo_l)
-    start = min(max(math.log10(center) - width / 2.0, lo_l), hi_l - width)
+    width = (hi_l - lo_l) / shrink
     if width == 0.0:
         return [lo]
+    start = min(max(math.log10(center) - width / 2.0, lo_l), hi_l - width)
     return [float(x) for x in np.logspace(start, start + width, count)]
 
 
 def _linear_window(center: float, count: int, lo: float, hi: float,
-                   span: float) -> list[float]:
-    width = min(span, hi - lo)
-    start = min(max(center - width / 2.0, lo), hi - width)
+                   shrink: float) -> list[float]:
+    width = (hi - lo) / shrink
     if width == 0.0:
         return [lo]
+    start = min(max(center - width / 2.0, lo), hi - width)
     return [float(x) for x in np.linspace(start, start + width, count)]
+
+
+def _grid_refine(evaluate, axes, rounds: int, shrink: float):
+    """Search a grid, then refine `rounds` times around the incumbent.
+
+    axes holds one (grid, window) pair per argument of evaluate; round k
+    replaces each grid by window(incumbent, len(grid), min(grid), max(grid),
+    shrink ** k).  Points run in row-major order, the first axis outermost.
+    Returns (best, trace): best is (rate, *point), and trace lists every
+    evaluation as (*point, rate), repeats included.
+    """
+    grids = [list(grid) for grid, _ in axes]
+    trace: list[tuple[float, ...]] = []
+    best: tuple[float, ...] | None = None
+    for round_index in range(rounds + 1):
+        if round_index > 0:
+            factor = shrink ** round_index
+            grids = [window(center, len(grid), min(grid), max(grid), factor)
+                     for (grid, window), center in zip(axes, best[1:])]
+        for point in itertools.product(*grids):
+            rate = evaluate(*point)
+            trace.append((*point, rate))
+            candidate = (rate, *point)
+            if best is None or _better(candidate, best):
+                best = candidate
+    return best, trace
 
 
 def _make_objective(spec: OptimizationSpec):
@@ -142,33 +170,10 @@ def optimize_key_rate(spec: OptimizationSpec) -> OptimizationResult:
     served from a cache so the reported rate equals a re-evaluation at the
     winning point exactly.
     """
-    evaluate = _make_objective(spec)
-    trace: list[tuple[float, float, float]] = []
-    best: tuple[float, float, float] | None = None
-
-    v_lo, v_hi = min(spec.v_m_grid), max(spec.v_m_grid)
-    r_lo, r_hi = min(spec.r_grid), max(spec.r_grid)
-    v_span = math.log10(v_hi) - math.log10(v_lo)
-    r_span = r_hi - r_lo
-
-    v_grid: list[float] = list(spec.v_m_grid)
-    r_grid: list[float] = list(spec.r_grid)
-    for round_index in range(spec.refinement_rounds + 1):
-        if round_index > 0:
-            shrink = spec.shrink ** round_index
-            v_grid = _log_window(best[1], len(spec.v_m_grid), v_lo, v_hi,
-                                 v_span / shrink)
-            r_grid = _linear_window(best[2], len(spec.r_grid), r_lo, r_hi,
-                                    r_span / shrink)
-        for v_m in v_grid:
-            for ratio in r_grid:
-                rate = evaluate(v_m, ratio)
-                trace.append((v_m, ratio, rate))
-                candidate = (rate, v_m, ratio)
-                if best is None or _better(candidate, best):
-                    best = candidate
-
-    rate, v_m, ratio = best
+    (rate, v_m, ratio), trace = _grid_refine(
+        _make_objective(spec),
+        ((spec.v_m_grid, _log_window), (spec.r_grid, _linear_window)),
+        spec.refinement_rounds, spec.shrink)
     return OptimizationResult(v_m=v_m, ratio=ratio, rate=rate,
                               no_positive_rate=rate <= 0.0,
                               evaluations=len(trace), trace=trace)
@@ -192,20 +197,6 @@ def optimize_asymptotic(channel: ChannelParams, xi: float,
                                              channel.tau_a, channel.tau_b, noise)
         return cache[v_m]
 
-    trace: list[tuple[float, float]] = []
-    best: tuple[float, float] | None = None
-    lo, hi = min(grid), max(grid)
-    span = math.log10(hi) - math.log10(lo)
-    candidates: list[float] = list(grid)
-    for round_index in range(refinement_rounds + 1):
-        if round_index > 0:
-            candidates = _log_window(best[1], len(grid), lo, hi,
-                                     span / shrink ** round_index)
-        for v_m in candidates:
-            rate = evaluate(v_m)
-            trace.append((v_m, rate))
-            # Larger rate wins; ties prefer smaller v_m.
-            if best is None or rate > best[0] or (rate == best[0] and v_m < best[1]):
-                best = (rate, v_m)
-    rate, v_m = best
+    (rate, v_m), trace = _grid_refine(evaluate, ((grid, _log_window),),
+                                      refinement_rounds, shrink)
     return v_m, rate, trace

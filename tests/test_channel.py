@@ -128,6 +128,15 @@ class TestNoiseVars:
         with pytest.raises(ConfigurationError, match="noisier"):
             NoiseVars(-1.0, 0.0)
 
+    @pytest.mark.parametrize("excess, name", [
+        ((math.nan, 0.0), "excess_q"),
+        ((0.0, math.inf), "excess_p"),
+        ((0.0, -math.inf), "excess_p"),
+    ])
+    def test_non_finite_rejected_by_name(self, excess, name):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            NoiseVars(*excess)
+
 
 class TestChannelParams:
     @pytest.mark.parametrize("kwargs", [
@@ -138,6 +147,14 @@ class TestChannelParams:
     def test_range_validation(self, kwargs):
         with pytest.raises(DomainError):
             ChannelParams(**kwargs)
+
+    @pytest.mark.parametrize("name, value", [
+        ("corr_q", math.nan), ("corr_p", math.inf), ("corr_p", math.nan),
+        ("corr_q", -math.inf),
+    ])
+    def test_non_finite_correlation_rejected_by_name(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            ChannelParams(0.9, 0.5, 1.01, 1.01, **{name: value})
 
     def test_constructors(self):
         ch = ChannelParams.collective(0.9, 0.8, 1.05, 1.02)

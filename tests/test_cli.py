@@ -143,6 +143,37 @@ class TestModscan:
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
 
+    SCAN = ("modscan", "--tau-b", "0.7", "--n-bar", "1e6", "--v-m-grid", "10:1000:3",
+            "--r-grid", "0.1:0.9:5", "--format", "json")
+
+    def scan_rows(self, capsys, *extra):
+        assert run_cli(*self.SCAN, *extra) == 0
+        return json.loads(capsys.readouterr().out)["rows"]
+
+    def test_pinned_ratio_rows_are_the_projected_rates(self, capsys):
+        from cvmdi import (ChannelParams, FiniteSizeParams, projected_key_rate,
+                           ProtocolParams)
+        channel = ChannelParams.two_mode_optimal(0.98, 0.7, 1.01, 1.01)
+        fs = FiniteSizeParams.from_ratio(10**6, 0.5)
+        expected = [[v_m, projected_key_rate(ProtocolParams(v_m, 0.98), channel, fs)]
+                    for v_m in np.geomspace(10.0, 1000.0, 3).tolist()]
+        assert self.scan_rows(capsys, "--ratio", "0.5") == expected
+
+    def test_omitted_ratio_is_optimized_over_the_grid(self, capsys):
+        from cvmdi import ChannelParams, optimize_key_rate, OptimizationSpec
+        channel = ChannelParams.two_mode_optimal(0.98, 0.7, 1.01, 1.01)
+        rows = self.scan_rows(capsys)
+        assert rows == self.scan_rows(capsys, "--optimize-ratio")
+        pinned = self.scan_rows(capsys, "--ratio", "0.5")
+        for (v_m, rate), (_, rate_pinned) in zip(rows, pinned):
+            spec = OptimizationSpec(channel, 0.98, 10**6, v_m_grid=(v_m,),
+                                    r_grid=(0.1, 0.3, 0.5, 0.7, 0.9))
+            assert rate == optimize_key_rate(spec).rate >= rate_pinned
+
+    def test_ratio_with_optimize_ratio_exits_two(self, capsys):
+        assert run_cli(*self.SCAN, "--ratio", "0.5", "--optimize-ratio") == 2
+        assert "--optimize-ratio" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_small_run_payload(self, tmp_path):
@@ -228,6 +259,10 @@ class TestBadInput:
         (("rate", "--omega-a", "nan"), "omega_a"),
         (("rate", "--n-bar", "1e6", "--delta-prefactor", "nan"), "delta prefactor"),
         (("rate", "--n-bar", "1e6", "--delta-prefactor", "-1"), "delta prefactor"),
+        (("simulate", "--tau-b", "0.5", "--m", "100", "--trials", "3",
+          "--tolerance", "nan"), "tolerance"),
+        (("simulate", "--tau-b", "0.5", "--m", "100", "--trials", "3",
+          "--tolerance", "-0.1"), "tolerance"),
     ])
     def test_invalid_number_exits_two_naming_it(self, capsys, argv, name):
         assert run_cli(*argv) == 2

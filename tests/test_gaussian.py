@@ -13,9 +13,14 @@ from cvmdi import (
     tmsv_cm,
     von_neumann_entropy,
 )
-from cvmdi.gaussian import ensure_cov_matrix
+from cvmdi.gaussian import ensure_cov_matrix, separable_spectrum, spectrum_entropy
 
-from conftest import random_physical_cm, random_two_mode_symplectic
+from conftest import (
+    beamsplitter_symplectic,
+    random_physical_cm,
+    random_two_mode_symplectic,
+    squeeze_symplectic,
+)
 
 
 def h_direct(x):
@@ -86,6 +91,23 @@ class TestSymplecticEigenvalues:
             general = np.sort(np.abs(np.linalg.eigvals(1j * omega @ v)))[::-1][::2]
             np.testing.assert_allclose(fast, general, rtol=0, atol=1e-9)
 
+    def test_separable_formula_matches_general_method(self, rng):
+        # local squeezers along q/p and a beam splitter keep q and p apart
+        omega = symplectic_form(2)
+        for _ in range(200):
+            nu = 1.0 + rng.exponential(0.7, size=2)
+            local = np.zeros((4, 4))
+            local[:2, :2] = squeeze_symplectic(rng.uniform(-0.8, 0.8))
+            local[2:, 2:] = squeeze_symplectic(rng.uniform(-0.8, 0.8))
+            s = beamsplitter_symplectic(rng.uniform(0, 2 * math.pi)) @ local
+            v = s @ np.diag([nu[0], nu[0], nu[1], nu[1]]) @ s.T
+            v = 0.5 * (v + v.T)
+            hi, lo = separable_spectrum(v[0, 0], v[0, 2], v[2, 2],
+                                        v[1, 1], v[1, 3], v[3, 3])
+            general = np.sort(np.abs(np.linalg.eigvals(1j * omega @ v)))[::-1][::2]
+            np.testing.assert_allclose([hi, lo], general, rtol=0, atol=1e-9)
+            assert [hi, lo] == symplectic_eigenvalues(v)
+
     def test_six_mode_path(self):
         v = np.diag([1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
         assert symplectic_eigenvalues(v) == pytest.approx([3.0, 2.0, 1.0])
@@ -123,6 +145,10 @@ class TestVonNeumannEntropy:
     def test_clamps_rounding_dust(self):
         nu = 1.0 - 5e-10
         assert von_neumann_entropy(np.diag([nu, nu])) == 0.0
+
+    def test_nan_eigenvalue_raises(self):
+        with pytest.raises(PhysicalityError):
+            spectrum_entropy([2.0, math.nan])
 
     def test_symplectic_invariance(self, rng):
         for _ in range(50):

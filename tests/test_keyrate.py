@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvmdi import (
     asymptotic_key_rate,
     ChannelParams,
     conditional_cms,
     ConfigurationError,
+    CVMDIError,
     db_to_transmissivity,
     DomainError,
     holevo_bound,
@@ -15,6 +17,7 @@ from cvmdi import (
     mutual_information,
     NoiseVars,
     noise_from_attack,
+    PhysicalityError,
     ProtocolParams,
     symplectic_eigenvalues,
     symplectic_form,
@@ -225,3 +228,70 @@ def test_role_swap_leaves_spectrum_invariant(rng):
         np.testing.assert_allclose(
             symplectic_eigenvalues(state.cm_joint),
             symplectic_eigenvalues(swapped.cm_joint), rtol=0, atol=1e-10)
+
+
+def _oracle_breakdown(protocol, tau_a, tau_b, noise):
+    state = conditional_cms(protocol, tau_a, tau_b, noise)
+    i_ab = mutual_information(state)
+    i_h = holevo_bound(state)
+    return i_ab, i_h, protocol.xi * i_ab - i_h
+
+
+class TestClosedFormAgainstOracle:
+    """key_rate_breakdown (closed form) against the general 4x4 route."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(attack=st.sampled_from(["pure-loss", "collective", "two-mode-optimal"]),
+           tau_a=st.floats(0.0, 1.0), tau_b=st.floats(0.0, 1.0),
+           omega=st.floats(1.0, 1.1),
+           # log10 v_m; above v_m ~ 2e4 the larger joint eigenvalue lies
+           # past the 1e4 entropy asymptote cutoff
+           log_v_m=st.floats(-3.0, 6.0),
+           xi=st.floats(0.5, 1.0))
+    def test_matches_oracle(self, attack, tau_a, tau_b, omega, log_v_m, xi):
+        if attack == "pure-loss":
+            channel = ChannelParams.pure_loss(tau_a, tau_b)
+        elif attack == "collective":
+            channel = ChannelParams.collective(tau_a, tau_b, omega, omega)
+        else:
+            channel = ChannelParams.two_mode_optimal(tau_a, tau_b, omega, omega)
+        protocol = ProtocolParams(10.0 ** log_v_m, xi)
+        args = (protocol, tau_a, tau_b, noise_from_attack(channel))
+        try:
+            expected = _oracle_breakdown(*args)
+        except CVMDIError as exc:
+            with pytest.raises(type(exc)):
+                key_rate_breakdown(*args)
+            return
+        got = key_rate_breakdown(*args)
+        assert (got.i_ab, got.i_h, got.k_infinity) == pytest.approx(
+            expected, rel=0, abs=1e-11)
+
+    def test_asymptote_region_agrees(self):
+        # the larger joint eigenvalue lies past the 1e4 entropy cutoff
+        ch = ChannelParams.two_mode_optimal(0.9, 0.3, 1.05, 1.05)
+        args = (ProtocolParams(1e6, 0.98), 0.9, 0.3, noise_from_attack(ch))
+        assert symplectic_eigenvalues(conditional_cms(*args).cm_joint)[0] > 1e4
+        got = key_rate_breakdown(*args)
+        assert (got.i_ab, got.i_h, got.k_infinity) == pytest.approx(
+            _oracle_breakdown(*args), rel=0, abs=1e-11)
+
+    def test_builds_no_matrix(self, monkeypatch):
+        from cvmdi import gaussian, keyrate
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("matrix route used on the closed-form path")
+
+        noise = noise_from_attack(ChannelParams.two_mode_optimal(0.98, 0.5, 1.01, 1.01))
+        monkeypatch.setattr(keyrate, "np", None)
+        monkeypatch.setattr(keyrate, "symplectic_eigenvalues", forbidden)
+        monkeypatch.setattr(gaussian, "ensure_cov_matrix", forbidden)
+        assert key_rate_breakdown(ProtocolParams(40.0, 0.98), 0.98, 0.5,
+                                  noise).k_infinity > 0.0
+
+    def test_overflowing_modulation_is_unphysical_not_nan(self):
+        # v_m * (v_m + 2) overflows to inf and the spectrum turns NaN; the
+        # physicality checks must reject NaN rather than let it through
+        for route in (key_rate_breakdown, conditional_cms):
+            with pytest.raises(PhysicalityError), np.errstate(all="ignore"):
+                route(ProtocolParams(1e200), 0.9, 0.5, NO_NOISE)

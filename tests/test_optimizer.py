@@ -83,6 +83,9 @@ class TestOptimizeKeyRate:
         assert _better((1.0, 2.0, 0.6), (1.0, 2.0, 0.5))
         assert not _better((1.0, 2.0, 0.5), (1.0, 2.0, 0.6))
         assert _better((2.0, 9.0, 0.1), (1.0, 2.0, 0.6))
+        # the 1-D asymptotic search compares (rate, v_m) pairs the same way
+        assert _better((1.0, 2.0), (1.0, 3.0))
+        assert not _better((1.0, 2.0), (1.0, 2.0))
 
 
 class TestOptimizeAsymptotic:
