@@ -22,6 +22,7 @@ from .errors import (
     PhysicalityError,
 )
 from .estimation import (
+    BlockMoments,
     estimate_channel,
     estimate_covariances,
     estimate_excess_noise,
@@ -66,12 +67,19 @@ from .optimizer import (
     OptimizationResult,
     OptimizationSpec,
 )
-from .simulator import run_trials, sample_dataset, SimulationSpec, TrialStatistics
+from .simulator import (
+    run_trials,
+    sample_dataset,
+    sample_moments,
+    SimulationSpec,
+    TrialStatistics,
+)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "asymptotic_key_rate",
+    "BlockMoments",
     "ChannelParams",
     "conditional_cms",
     "ConditionalState",
@@ -113,6 +121,7 @@ __all__ = [
     "report_from_parameters",
     "run_trials",
     "sample_dataset",
+    "sample_moments",
     "SimulationSpec",
     "symplectic_eigenvalues",
     "symplectic_form",

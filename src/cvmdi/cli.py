@@ -110,9 +110,17 @@ def _parse_log_axis(text: str, name: str) -> list[float]:
     return [float(x) for x in np.geomspace(start, stop, len(values))]
 
 
+def integer(text: str) -> int:
+    """An integral count written as an integer or a float ('100000', '1e9')."""
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError(f"{text!r} is not an integer")
+    return int(value)
+
+
 def _parse_n_bars(text: str) -> list[int]:
     try:
-        values = [int(float(part)) for part in text.split(",") if part.strip()]
+        values = [integer(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigurationError(f"bad block-size list {text!r}: {exc}") from None
     if not values:
@@ -309,6 +317,9 @@ def cmd_modscan(args) -> int:
     if args.optimize_ratio and args.ratio is not None:
         raise ConfigurationError(
             "--ratio pins the key fraction; it cannot be combined with --optimize-ratio")
+    if args.v_m is not None:
+        raise ConfigurationError(
+            "modscan scans v_m over --v-m-grid; give a single point there, not --v-m")
 
     rows = []
     for v_m in v_m_values:
@@ -463,12 +474,15 @@ def build_parser() -> argparse.ArgumentParser:
                               help="Monte Carlo validation of the estimators")
     _add_channel_arguments(simulate, db_default=None)
     simulate.add_argument("--v-m", type=float, default=10.0)
-    simulate.add_argument("--m", type=int, default=100_000)
+    simulate.add_argument("--m", type=integer, default=100_000,
+                          help="records per block, e.g. 100000 or 1e9 (default 1e5)")
     simulate.add_argument("--trials", type=int, default=10_000)
     simulate.add_argument("--seed", type=int, default=7)
     simulate.add_argument("--tolerance", type=float, default=0.10)
     simulate.add_argument("--dump-dataset", type=str, default=None,
-                          help="also write trial 0 as a dataset CSV")
+                          help="also write one record block as a dataset CSV, "
+                               "drawn record by record from trial 0's stream; "
+                               "the statistics come from moment draws, not from it")
     simulate.add_argument("--out", type=str, default=None)
     simulate.set_defaults(func=cmd_simulate)
 

@@ -9,8 +9,9 @@ Worst-case bounds follow the z-sigma confidence-interval rule: lower
 transmissivities, upper excess noise.
 
 Every estimator depends on the records only through the mean products of
-(a, b, r) in q and in p: a dataset reduces itself to these two 3x3 moment
-matrices once, when it is built, and each estimator is an O(1) read of them.
+(a, b, r) in q and in p, and reads a block as a `BlockMoments`: these two
+3x3 moment matrices and the block size.  A dataset reduces itself to them
+once, when it is built, and each estimator is an O(1) read of them.
 """
 
 from __future__ import annotations
@@ -32,17 +33,30 @@ _MIN_TOTAL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class QuadratureDataset:
-    """Per-use modulation and relay records, all of one common length."""
+class BlockMoments:
+    """One block of m uses as the estimators see it.
 
+    moments holds the mean products (1/m) x.y over the records (a, b, r),
+    shape (2, 3, 3): quadrature q, then p.
+    """
+
+    moments: np.ndarray = field(repr=False)
+    m: int
+
+
+@dataclass(frozen=True, eq=False)
+class QuadratureDataset(BlockMoments):
+    """Per-use modulation and relay records, all of one common length,
+    reduced once, when built, to their moments."""
+
+    moments: np.ndarray = field(init=False, repr=False)
+    m: int = field(init=False)
     a_q: np.ndarray
     a_p: np.ndarray
     b_q: np.ndarray
     b_p: np.ndarray
     r_q: np.ndarray
     r_p: np.ndarray
-    # Mean products (1/m) x.y over (a, b, r), q then p: all the estimators read.
-    moments: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lengths = set()
@@ -54,22 +68,20 @@ class QuadratureDataset:
             lengths.add(arr.shape[0])
         if len(lengths) != 1:
             raise DatasetError(f"columns have mismatched lengths {sorted(lengths)}")
-        if self.m < 2:
-            raise DatasetError(f"need at least 2 samples per column, got {self.m}")
+        m = lengths.pop()
+        if m < 2:
+            raise DatasetError(f"need at least 2 samples per column, got {m}")
         moments = np.empty((2, 3, 3))
         for quad, cols in enumerate(((self.a_q, self.b_q, self.r_q),
                                      (self.a_p, self.b_p, self.r_p))):
             for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
-                moments[quad, i, j] = moments[quad, j, i] = cols[i] @ cols[j] / self.m
+                moments[quad, i, j] = moments[quad, j, i] = cols[i] @ cols[j] / m
         # A NaN or infinite record always reaches its own mean square.
         if not np.isfinite(moments).all():
             raise DatasetError("records must be finite: a column holds NaN, "
                                "an infinity or a value too large to square")
         object.__setattr__(self, "moments", moments)
-
-    @property
-    def m(self) -> int:
-        return self.a_q.shape[0]
+        object.__setattr__(self, "m", m)
 
     def to_csv(self, path) -> None:
         """Write the six columns under the canonical header, full precision."""
@@ -96,7 +108,7 @@ def _check_v_m(v_m: float) -> None:
             f"modulation variance must be finite and positive for estimation, got {v_m}")
 
 
-def estimate_covariances(d: QuadratureDataset) -> tuple[float, float, float, float]:
+def estimate_covariances(d: BlockMoments) -> tuple[float, float, float, float]:
     """Empirical mean products between modulation and relay records.
 
     Returns (alice-q, alice-p, bob-q, bob-p).  Under the relay sign
@@ -109,7 +121,7 @@ def estimate_covariances(d: QuadratureDataset) -> tuple[float, float, float, flo
 
 
 def transmissivities_per_quadrature(
-        d: QuadratureDataset, v_m: float) -> tuple[float, float, float, float]:
+        d: BlockMoments, v_m: float) -> tuple[float, float, float, float]:
     """Per-quadrature transmissivity estimates 2 C^2 / v_m^2 for both links."""
     _check_v_m(v_m)
     c_aq, c_ap, c_bq, c_bp = estimate_covariances(d)
@@ -118,7 +130,7 @@ def transmissivities_per_quadrature(
             scale * c_bq * c_bq, scale * c_bp * c_bp)
 
 
-def estimate_transmissivities(d: QuadratureDataset, v_m: float) -> tuple[float, float]:
+def estimate_transmissivities(d: BlockMoments, v_m: float) -> tuple[float, float]:
     """Combined transmissivity estimates for both links.
 
     The per-quadrature estimates are averaged with inverse-variance
@@ -145,7 +157,7 @@ def _combine(est_q: float, est_p: float,
     return (est_q * var_p + est_p * var_q) / den
 
 
-def estimate_excess_noise(d: QuadratureDataset, tau_a_hat: float,
+def estimate_excess_noise(d: BlockMoments, tau_a_hat: float,
                           tau_b_hat: float) -> tuple[float, float]:
     """Residual-based excess-noise estimates for both quadratures.
 
@@ -158,7 +170,7 @@ def estimate_excess_noise(d: QuadratureDataset, tau_a_hat: float,
     return power_q - 1.0, power_p - 1.0
 
 
-def _residual_power(d: QuadratureDataset, tau_a: float,
+def _residual_power(d: BlockMoments, tau_a: float,
                     tau_b: float) -> tuple[float, float]:
     """Mean squares (q, p) of r - sqrt(tau_b/2) b -+ sqrt(tau_a/2) a, the relay
     record less its signal part, as w.G.w with w = (+-sqrt(tau_a/2),
@@ -259,7 +271,7 @@ def _plugin_noise(excess_q: float, excess_p: float) -> NoiseVars:
     return NoiseVars(max(excess_q, floor), max(excess_p, floor))
 
 
-def estimate_channel(d: QuadratureDataset, v_m: float, z: float = 6.5) -> EstimationReport:
+def estimate_channel(d: BlockMoments, v_m: float, z: float = 6.5) -> EstimationReport:
     """Full protocol-mode pipeline: estimates, plug-in spreads, bounds.
 
     The variance formulas are evaluated at the estimated parameters (the

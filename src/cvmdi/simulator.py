@@ -1,8 +1,8 @@
-"""Monte Carlo generation of relay records and estimator validation.
+"""Monte Carlo generation of relay blocks and estimator validation.
 
-This is the brute-force oracle for the estimation module: it samples the
-relay input-output relations directly and compares empirical estimator
-statistics against the analytic variance formulas.
+This is the brute-force oracle for the estimation module: it draws blocks
+of relay data and compares empirical estimator statistics against the
+analytic variance formulas.
 
 Sampling model: modulation records are drawn at variance v_m and all shot
 noise is lumped into the relay noise columns, so that the modulation-relay
@@ -11,6 +11,21 @@ covariance is sqrt(tau/2) * v_m and the relay output variance is
 the relay statistics only through the per-quadrature excess noise, so the
 lumped noise is sampled instead of a four-mode purification; every
 quantity the estimators touch is identical either way.
+
+Two samplers draw a block from the stream of its (seed, trial index):
+
+- `sample_dataset` draws the records themselves, O(m) per block.  It is
+  the record-level reference, and it serves dataset dumps and protocol mode.
+- `sample_moments` draws only the two moment matrices the estimators read,
+  in O(1).  Each use's records are x = L z, with z = (z_a, z_b, z_n)
+  standard normal and L the lower-triangular record map, so m G = L W L^T
+  with W ~ Wishart(m, I_3).  W = A A^T is drawn by Bartlett's decomposition
+  (Smith & Hocking, Appl. Stat. 21:341, 1972): A is lower triangular with
+  A_ii^2 ~ chi^2(m - i) and standard normals below the diagonal.
+  `run_trials` uses it, so a trial costs the same at any block size.
+
+The two share the law of a block, not its draws: the same (seed, trial
+index) gives unrelated blocks in the two samplers.
 """
 
 from __future__ import annotations
@@ -24,6 +39,7 @@ from .channel import ChannelParams, NoiseVars, noise_from_attack
 from .errors import DomainError
 from .estimation import (
     _residual_power,
+    BlockMoments,
     estimate_channel,
     estimate_covariances,
     excess_noise_variance,
@@ -33,6 +49,8 @@ from .estimation import (
 )
 
 _SQRT_HALF = math.sqrt(0.5)
+_DIAGONAL = np.arange(3)
+_BELOW = np.tril_indices(3, -1)
 
 
 @dataclass(frozen=True)
@@ -82,6 +100,43 @@ def sample_dataset(spec: SimulationSpec, trial_index: int = 0) -> QuadratureData
     r_q = _SQRT_HALF * (root_b * b_q - root_a * a_q) + n_q
     r_p = _SQRT_HALF * (root_b * b_p + root_a * a_p) + n_p
     return QuadratureDataset(a_q, a_p, b_q, b_p, r_q, r_p)
+
+
+def _record_map(spec: SimulationSpec, noise: NoiseVars) -> np.ndarray:
+    """Lower-triangular maps, q then p, from standard normals (z_a, z_b, z_n)
+    to one use's records (a, b, r)."""
+    s_mod = math.sqrt(spec.v_m)
+    half_a = math.sqrt(spec.channel.tau_a / 2.0) * s_mod
+    half_b = math.sqrt(spec.channel.tau_b / 2.0) * s_mod
+    # Alice's q record enters the relay output with a minus sign.
+    return np.array([
+        [[s_mod, 0.0, 0.0], [0.0, s_mod, 0.0], [-half_a, half_b, math.sqrt(noise.total_q)]],
+        [[s_mod, 0.0, 0.0], [0.0, s_mod, 0.0], [half_a, half_b, math.sqrt(noise.total_p)]],
+    ])
+
+
+def _draw_moments(spec: SimulationSpec, record_map: np.ndarray,
+                  trial_index: int) -> BlockMoments:
+    rng = trial_generator(spec.seed, trial_index)
+    bartlett = np.zeros((2, 3, 3))
+    # chi^2(k) as 2 Gamma(k/2), which is 0 at k = 0 (m = 2) where
+    # Generator.chisquare raises.
+    bartlett[:, _DIAGONAL, _DIAGONAL] = np.sqrt(
+        2.0 * rng.standard_gamma((spec.m - _DIAGONAL) / 2.0, size=(2, 3)))
+    bartlett[:, _BELOW[0], _BELOW[1]] = rng.standard_normal((2, 3))
+    loaded = record_map @ bartlett
+    return BlockMoments(loaded @ loaded.transpose(0, 2, 1) / spec.m, spec.m)
+
+
+def sample_moments(spec: SimulationSpec, trial_index: int = 0) -> BlockMoments:
+    """Draw one block's moment matrices in O(1), by Bartlett's decomposition.
+
+    The law is that of sample_dataset(spec, trial_index).moments; the draws
+    come from the same (seed, trial_index) stream but are not those of the
+    records, and no record is drawn.
+    """
+    return _draw_moments(spec, _record_map(spec, noise_from_attack(spec.channel)),
+                         trial_index)
 
 
 @dataclass
@@ -222,42 +277,36 @@ def _build_comparisons(expected: dict[str, float], means: dict[str, float],
     return records
 
 
+def _trial_values(block: BlockMoments, v_m: float, channel: ChannelParams,
+                  noise: NoiseVars) -> tuple[float, ...]:
+    """The _TRACKED values of one block, in that order."""
+    c_aq, c_ap, c_bq, c_bp = estimate_covariances(block)
+    ta_q, ta_p, tb_q, tb_p = transmissivities_per_quadrature(block, v_m)
+    report = estimate_channel(block, v_m)
+    power_q, power_p = _residual_power(block, channel.tau_a, channel.tau_b)
+    return (report.tau_a, report.tau_b, ta_q, ta_p, tb_q, tb_p,
+            report.excess_q, report.excess_p, c_aq, c_ap, c_bq, c_bp,
+            block.m * power_q / noise.total_q, block.m * power_p / noise.total_p)
+
+
 def run_trials(spec: SimulationSpec) -> TrialStatistics:
     """Run the full estimation pipeline over many independent blocks.
 
-    Each trial owns its own RNG stream derived from (seed, trial index);
+    Each trial draws one block's moment matrices as `sample_moments` does,
+    in O(1), from its own RNG stream derived from (seed, trial index);
     aggregation uses order-independent moment sums.  The chi-square
     statistic (normalized residual sum at the true parameters) is tracked
-    alongside the estimators as a distributional cross-check.  Every one is
-    read from the moments the block is reduced to once, when it is drawn.
+    alongside the estimators as a distributional cross-check.
     """
     channel = spec.channel
     noise = noise_from_attack(channel)
+    record_map = _record_map(spec, noise)
     acc = {name: _Moments() for name in _TRACKED}
 
     for trial in range(spec.trials):
-        d = sample_dataset(spec, trial)
-        c_aq, c_ap, c_bq, c_bp = estimate_covariances(d)
-        ta_q, ta_p, tb_q, tb_p = transmissivities_per_quadrature(d, spec.v_m)
-        report = estimate_channel(d, spec.v_m)
-        power_q, power_p = _residual_power(d, channel.tau_a, channel.tau_b)
-        chi2_q = spec.m * power_q / noise.total_q
-        chi2_p = spec.m * power_p / noise.total_p
-
-        acc["tau_a"].add(report.tau_a)
-        acc["tau_b"].add(report.tau_b)
-        acc["tau_a_q"].add(ta_q)
-        acc["tau_a_p"].add(ta_p)
-        acc["tau_b_q"].add(tb_q)
-        acc["tau_b_p"].add(tb_p)
-        acc["excess_q"].add(report.excess_q)
-        acc["excess_p"].add(report.excess_p)
-        acc["cov_a_q"].add(c_aq)
-        acc["cov_a_p"].add(c_ap)
-        acc["cov_b_q"].add(c_bq)
-        acc["cov_b_p"].add(c_bp)
-        acc["chi2_q"].add(chi2_q)
-        acc["chi2_p"].add(chi2_p)
+        block = _draw_moments(spec, record_map, trial)
+        for name, value in zip(_TRACKED, _trial_values(block, spec.v_m, channel, noise)):
+            acc[name].add(value)
 
     expected = _expected_statistics(channel, noise, spec.v_m, spec.m)
     means = {name: acc[name].mean() for name in _TRACKED}

@@ -3,8 +3,8 @@
 The Monte Carlo criteria are seeded and therefore deterministic; the
 chosen seeds give typical draws (statistics well inside their expected
 bands).  Run with `pytest tests/test_acceptance.py -v -s` to see the
-per-criterion lines; the full suite takes a few minutes, dominated by
-the estimator-variance campaigns.
+per-criterion lines; the Monte Carlo criteria draw each block's moment
+matrices directly, so each takes seconds.
 """
 
 import json
@@ -83,7 +83,6 @@ def test_criterion_02_entropy_algebra():
     print("\n[criterion 2] PASS entropy algebra")
 
 
-@pytest.mark.slow
 def test_criterion_03_estimator_variance_oracle():
     start = time.time()
     m, trials, v_m, seed = 10**5, 10**4, 10.0, 3
@@ -108,7 +107,6 @@ def test_criterion_03_estimator_variance_oracle():
           f"({time.time()-start:.0f}s)")
 
 
-@pytest.mark.slow
 def test_criterion_04_bias_scaling():
     # The transmissivity estimator bias is measured with the known-mean
     # covariance as a control variate: subtracting the linear fluctuation
@@ -138,9 +136,9 @@ def test_criterion_04_bias_scaling():
           f"(cv-measured bias {biases}, raw {raw_biases}, {time.time()-start:.0f}s)")
 
 
-@pytest.mark.slow
 def test_criterion_05_chi_squared_check():
-    m, trials, seed = 10**4, 10**3, 3
+    # 20 000 trials put the 5 % variance band at 5 sd of s^2 (sd 1 %)
+    m, trials, seed = 10**4, 20_000, 3
     channel = ChannelParams.pure_loss(0.98, 0.5)
     stats = run_trials(SimulationSpec(channel, 10.0, m, trials, seed=seed))
     assert stats.means["chi2_q"] == pytest.approx(m, rel=0.05)

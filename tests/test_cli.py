@@ -174,6 +174,11 @@ class TestModscan:
         assert run_cli(*self.SCAN, "--ratio", "0.5", "--optimize-ratio") == 2
         assert "--optimize-ratio" in capsys.readouterr().err
 
+    def test_v_m_exits_two_naming_the_grid(self, capsys):
+        assert run_cli("modscan", "--tau-b", "0.7", "--n-bar", "1e6", "--ratio", "0.5",
+                       "--v-m-grid", "10:100:2", "--v-m", "5") == 2
+        assert "--v-m-grid" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_small_run_payload(self, tmp_path):
@@ -202,6 +207,20 @@ class TestSimulate:
         assert run_cli(*argv, "--out", str(a)) == 0
         assert run_cli(*argv, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_paper_block_size(self, capsys):
+        assert run_cli("simulate", "--attack", "pure-loss", "--tau-b", "0.5",
+                       "--m", "1e9", "--trials", "1000") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["m"] == payload["config"]["m"] == 10**9
+        assert payload["all_pass"] is True
+
+    @pytest.mark.parametrize("m", ["1.5", "1e9.5", "inf", "nan", "many"])
+    def test_non_integral_block_size_exits_two(self, capsys, m):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("simulate", "--tau-b", "0.5", "--m", m, "--trials", "2")
+        assert exit_info.value.code == 2
+        assert "argument --m" in capsys.readouterr().err
 
     def test_dataset_dump(self, tmp_path):
         out = tmp_path / "sim.json"
@@ -263,6 +282,8 @@ class TestBadInput:
           "--tolerance", "nan"), "tolerance"),
         (("simulate", "--tau-b", "0.5", "--m", "100", "--trials", "3",
           "--tolerance", "-0.1"), "tolerance"),
+        (("rate", "--n-bar", "inf"), "bad block-size list"),
+        (("rate", "--n-bar", "1e6,2.5"), "bad block-size list"),
     ])
     def test_invalid_number_exits_two_naming_it(self, capsys, argv, name):
         assert run_cli(*argv) == 2

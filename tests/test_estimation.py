@@ -13,16 +13,17 @@ from cvmdi import (
     estimate_transmissivities,
     EstimationReport,
     excess_noise_variance,
+    noise_from_attack,
     NoiseVars,
     QuadratureDataset,
     report_from_parameters,
-    run_trials,
     sample_dataset,
     SimulationSpec,
     transmissivities_per_quadrature,
     transmissivity_variance,
     worst_case,
 )
+from cvmdi.simulator import _trial_values
 
 PURE_LOSS = NoiseVars(0.0, 0.0)
 
@@ -116,19 +117,19 @@ class TestMomentsAgainstRecords:
     @pytest.mark.parametrize("v_m", [2.0, 10.0, 1000.0])
     def test_chi_square_means(self, v_m, tau_b):
         channel = ChannelParams.two_mode_optimal(0.9, tau_b, 1.02, 1.01)
+        noise = noise_from_attack(channel)
         spec = SimulationSpec(channel, v_m, 2000, 4, seed=17)
-        stats = run_trials(spec)
-        totals = (1.0 + stats.noise.excess_q, 1.0 + stats.noise.excess_p)
-        chi2 = np.zeros(2)
+        totals = (noise.total_q, noise.total_p)
+        got, want = np.zeros(2), np.zeros(2)
         for trial in range(spec.trials):
-            residuals = ref_residuals(sample_dataset(spec, trial),
-                                      channel.tau_a, channel.tau_b)
-            chi2 += [float(res @ res) / total for res, total in zip(residuals, totals)]
+            d = sample_dataset(spec, trial)
+            got += _trial_values(d, v_m, channel, noise)[-2:]
+            residuals = ref_residuals(d, channel.tau_a, channel.tau_b)
+            want += [float(res @ res) / total for res, total in zip(residuals, totals)]
         # chi^2 grows with m, so it is compared per record, on the scale of
         # the excess noise
-        np.testing.assert_allclose(
-            np.array([stats.means["chi2_q"], stats.means["chi2_p"]]) / spec.m,
-            chi2 / spec.trials / spec.m, rtol=0.0, atol=self.ATOL)
+        np.testing.assert_allclose(got / spec.m, want / spec.m,
+                                   rtol=0.0, atol=self.ATOL)
 
 
 class TestQuadratureDataset:

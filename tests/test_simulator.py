@@ -4,15 +4,47 @@ import numpy as np
 import pytest
 
 from cvmdi import (
+    BlockMoments,
     ChannelParams,
     DomainError,
     NoiseVars,
     run_trials,
     sample_dataset,
+    sample_moments,
     SimulationSpec,
 )
+from cvmdi import simulator
 
 PURE_LOSS = ChannelParams.pure_loss(0.98, 0.5)
+ATTACKS = {
+    "pure-loss": PURE_LOSS,
+    "collective": ChannelParams.collective(0.98, 0.5, 1.05, 1.05),
+    "two-mode-optimal": ChannelParams.two_mode_optimal(0.98, 0.5, 1.01, 1.01),
+}
+# The six distinct entries of a symmetric 3x3 moment matrix.
+UPPER = np.triu_indices(3)
+
+
+def entry_statistics(blocks):
+    """Per distinct moment entry (shape 2 x 6): the sample mean and the
+    sample variance, each with the variance of its own estimate."""
+    x = np.array([b.moments[:, UPPER[0], UPPER[1]] for b in blocks])
+    n = len(x)
+    mean = x.mean(axis=0)
+    dev = x - mean
+    var = (dev ** 2).sum(axis=0) / (n - 1)
+    fourth = (dev ** 4).mean(axis=0)
+    return (mean, var / n), (var, (fourth - var ** 2) / n)
+
+
+def two_sample_z(first, second):
+    """z-scores of the differences of two estimates, leaving out the entries
+    that both know exactly, which must agree."""
+    (a, var_a), (b, var_b) = first, second
+    spread = np.sqrt(var_a + var_b)
+    exact = spread == 0.0
+    assert np.array_equal(a[exact], b[exact])
+    return np.abs(a - b)[~exact] / spread[~exact]
 
 
 class TestSampleDataset:
@@ -66,6 +98,39 @@ class TestSampleDataset:
             SimulationSpec(PURE_LOSS, 1.0, 1, 1, seed=0)
         with pytest.raises(DomainError):
             SimulationSpec(PURE_LOSS, 1.0, 100, 0, seed=0)
+
+
+class TestSampleMoments:
+    BLOCKS = 4000
+    Z_BOUND = 5.0
+
+    @pytest.mark.parametrize("m", [2, 7])
+    @pytest.mark.parametrize("v_m", [0.0, 10.0])
+    @pytest.mark.parametrize("attack", sorted(ATTACKS))
+    def test_law_matches_the_records(self, attack, v_m, m):
+        # separate seeds keep the two samples independent
+        records = [sample_dataset(SimulationSpec(ATTACKS[attack], v_m, m, 1, seed=1), t)
+                   for t in range(self.BLOCKS)]
+        drawn = [sample_moments(SimulationSpec(ATTACKS[attack], v_m, m, 1, seed=2), t)
+                 for t in range(self.BLOCKS)]
+        for want, got in zip(entry_statistics(records), entry_statistics(drawn)):
+            assert np.max(two_sample_z(want, got), initial=0.0) < self.Z_BOUND
+
+    def test_deterministic_per_trial(self):
+        spec = SimulationSpec(PURE_LOSS, 10.0, 10**9, 1, seed=11)
+        first = sample_moments(spec, 3)
+        assert isinstance(first, BlockMoments) and first.m == 10**9
+        np.testing.assert_array_equal(first.moments, sample_moments(spec, 3).moments)
+        assert not np.array_equal(first.moments, sample_moments(spec, 4).moments)
+
+    def test_run_trials_draws_no_record(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_trials drew records")
+
+        monkeypatch.setattr(simulator, "sample_dataset", refuse)
+        monkeypatch.setattr(simulator, "QuadratureDataset", refuse)
+        stats = run_trials(SimulationSpec(PURE_LOSS, 10.0, 10**9, 3, seed=1))
+        assert stats.means["chi2_q"] == pytest.approx(10**9, rel=1e-3)
 
 
 class TestRunTrials:
