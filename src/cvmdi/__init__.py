@@ -33,12 +33,13 @@ from .estimation import (
     report_from_parameters,
     transmissivities_per_quadrature,
     transmissivity_variance,
-    worst_case,
 )
 from .finite_size import (
     finite_size_key_rate,
     finite_size_penalty,
+    finite_size_rate,
     FiniteSizeParams,
+    FiniteSizeRate,
     projected_key_rate,
 )
 from .gaussian import (
@@ -100,7 +101,9 @@ __all__ = [
     "excess_noise_variance",
     "finite_size_key_rate",
     "finite_size_penalty",
+    "finite_size_rate",
     "FiniteSizeParams",
+    "FiniteSizeRate",
     "holevo_bound",
     "is_physical",
     "key_rate_breakdown",
@@ -130,5 +133,4 @@ __all__ = [
     "transmissivity_variance",
     "TrialStatistics",
     "von_neumann_entropy",
-    "worst_case",
 ]

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelParams, db_to_transmissivity, NoiseVars, noise_from_attack
+from .channel import ChannelParams, db_to_transmissivity, noise_from_attack
 from .errors import (
     ConfigurationError,
     DatasetError,
@@ -25,8 +25,8 @@ from .errors import (
     NumericalDegeneracyError,
     PhysicalityError,
 )
-from .estimation import report_from_parameters
-from .finite_size import FiniteSizeParams, finite_size_penalty
+from .estimation import DEFAULT_Z, report_from_parameters
+from .finite_size import finite_size_rate, FiniteSizeParams
 from .keyrate import key_rate_breakdown, ProtocolParams
 from .optimizer import (
     default_r_grid,
@@ -39,8 +39,7 @@ from .simulator import run_trials, sample_dataset, SimulationSpec
 
 ATTACKS = ("pure-loss", "collective", "two-mode-optimal")
 
-_EPS_PA_NOTE = ("eps_pa defaults to 1e-10 (mirroring eps_pe); "
-                "override with --eps-pa")
+_EPS_PA_NOTE = "eps_pa defaults to 1e-10; override with --eps-pa"
 
 
 def _json_default(obj):
@@ -180,7 +179,7 @@ def _finite_spec(args, channel: ChannelParams, n_bar: int, v_m: float | None = N
     return OptimizationSpec(
         channel=channel, xi=args.xi, n_bar=n_bar,
         v_m_grid=tuple(v_m_grid), r_grid=tuple(r_grid),
-        eps_pe=args.eps_pe, eps_pa=args.eps_pa, z=args.z,
+        eps_pa=args.eps_pa, z=args.z,
         delta_prefactor=args.delta_prefactor,
         refinement_rounds=0 if (v_m is not None and args.ratio is not None)
         else args.refinement_rounds,
@@ -198,7 +197,8 @@ def cmd_rate(args) -> int:
         v_m_star = args.v_m
     else:
         v_m_star, _, _ = optimize_asymptotic(
-            channel, args.xi, tuple(_parse_log_axis(args.v_m_grid, "v-m")))
+            channel, args.xi, tuple(_parse_log_axis(args.v_m_grid, "v-m")),
+            args.refinement_rounds)
     asym = key_rate_breakdown(ProtocolParams(v_m_star, args.xi),
                               channel.tau_a, channel.tau_b, noise)
 
@@ -210,26 +210,21 @@ def cmd_rate(args) -> int:
             raise ConfigurationError("rate expects a single --n-bar value")
         result = optimize_key_rate(_finite_spec(args, channel, n_bars[0]))
         fs = FiniteSizeParams.from_ratio(n_bars[0], result.ratio,
-                                         eps_pe=args.eps_pe, eps_pa=args.eps_pa,
-                                         z=args.z)
+                                         eps_pa=args.eps_pa, z=args.z)
         report = report_from_parameters(channel.tau_a, channel.tau_b, noise,
-                                        result.v_m, fs.m, z=args.z)
-        worst = key_rate_breakdown(
-            ProtocolParams(result.v_m, args.xi), report.tau_a_low,
-            report.tau_b_low,
-            NoiseVars(report.excess_q_up, report.excess_p_up))
+                                        result.v_m, fs.m, z=fs.z)
+        rate = finite_size_rate(ProtocolParams(result.v_m, args.xi), report, fs,
+                                args.delta_prefactor)
         finite = {
             "n_bar": fs.n_bar, "m": fs.m, "n": fs.n, "ratio": fs.ratio,
             "v_m": result.v_m,
-            "penalty": finite_size_penalty(fs.n, fs.eps_pa, args.delta_prefactor),
+            "penalty": rate.penalty,
             "worst_case": {
                 "tau_a_low": report.tau_a_low, "tau_b_low": report.tau_b_low,
                 "excess_q_up": report.excess_q_up,
-                "excess_p_up": report.excess_p_up,
-                "i_ab": worst.i_ab, "i_h": worst.i_h,
-                "k_infinity": worst.k_infinity,
+                "excess_p_up": report.excess_p_up, **vars(rate.worst_case),
             },
-            "k": result.rate,
+            "k": rate.k,
         }
         no_positive = result.no_positive_rate
 
@@ -281,7 +276,8 @@ def cmd_sweep(args) -> int:
                                         channel.tau_a, channel.tau_b,
                                         noise).k_infinity
         else:
-            _, k_asym, _ = optimize_asymptotic(channel, args.xi, v_m_grid)
+            _, k_asym, _ = optimize_asymptotic(channel, args.xi, v_m_grid,
+                                               args.refinement_rounds)
         finite_rates = []
         v_m_star = args.v_m if args.v_m is not None else float("nan")
         r_star = args.ratio if args.ratio is not None else float("nan")
@@ -429,8 +425,7 @@ def _add_finite_arguments(parser: argparse.ArgumentParser,
     parser.add_argument("--r-grid", type=str, default="0.1:0.9:9",
                         help="key-fraction grid start:stop:points")
     parser.add_argument("--eps-pa", type=float, default=1e-10)
-    parser.add_argument("--eps-pe", type=float, default=1e-10)
-    parser.add_argument("--z", type=float, default=6.5)
+    parser.add_argument("--z", type=float, default=DEFAULT_Z)
     parser.add_argument("--delta-prefactor", type=float, default=1.0)
     parser.add_argument("--refinement-rounds", type=int, default=2)
 

@@ -17,7 +17,7 @@ once, when it is built, and each estimator is an O(1) read of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,8 @@ _FIELDS = ("a_q", "a_p", "b_q", "b_p", "r_q", "r_p")
 # Floor for plug-in total noise so that degenerate (signal-free) records do
 # not poison the variance formulas with a non-positive variance.
 _MIN_TOTAL = 1e-12
+# Worst-case confidence multiplier: a one-sided Gaussian tail of 4.0e-11.
+DEFAULT_Z = 6.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +214,12 @@ def excess_noise_variance(noise: NoiseVars, m: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class EstimationReport:
-    """Point estimates, their spreads, and (once filled) worst-case bounds."""
+    """Point estimates, their spreads, and the worst-case bounds they imply.
+
+    The bounds are computed on construction from the report's own z, so
+    dataclasses.replace(report, z=...) recomputes them:
+    tau_low = clip(tau - z*std, 0, 1) and excess_up = excess + z*std.
+    """
 
     tau_a: float
     tau_b: float
@@ -222,46 +229,32 @@ class EstimationReport:
     excess_p: float
     excess_q_std: float
     excess_p_std: float
-    z: float = 6.5
-    tau_a_low: float | None = None
-    tau_b_low: float | None = None
-    excess_q_up: float | None = None
-    excess_p_up: float | None = None
+    z: float = DEFAULT_Z
+    tau_a_low: float = field(init=False)
+    tau_b_low: float = field(init=False)
+    excess_q_up: float = field(init=False)
+    excess_p_up: float = field(init=False)
 
     def __post_init__(self):
         stds = (self.tau_a_std, self.tau_b_std, self.excess_q_std, self.excess_p_std)
         if min(stds) < 0.0:
             raise DomainError("standard deviations must be >= 0")
-        if self.bounded and not (
-                self.tau_a_low <= self.tau_a and self.tau_b_low <= self.tau_b
+        z = self.z
+        if not 0.0 <= z < math.inf:
+            raise DomainError(f"z (confidence multiplier) must be finite and >= 0, got {z}")
+        bounds = {
+            "tau_a_low": min(max(self.tau_a - z * self.tau_a_std, 0.0), 1.0),
+            "tau_b_low": min(max(self.tau_b - z * self.tau_b_std, 0.0), 1.0),
+            "excess_q_up": self.excess_q + z * self.excess_q_std,
+            "excess_p_up": self.excess_p + z * self.excess_p_std,
+        }
+        for name, value in bounds.items():
+            object.__setattr__(self, name, value)
+        if not (self.tau_a_low <= self.tau_a and self.tau_b_low <= self.tau_b
                 and self.excess_q_up >= self.excess_q
                 and self.excess_p_up >= self.excess_p):
             raise DomainError("worst-case bounds must lie below the transmissivities "
                               "and above the excess noise")
-
-    @property
-    def bounded(self) -> bool:
-        return self.tau_a_low is not None
-
-
-def worst_case(report: EstimationReport, z: float | None = None) -> EstimationReport:
-    """Fill the pessimistic bounds: lower transmissivities, upper noise.
-
-    tau_low = clip(tau - z*std, 0, 1) and excess_up = excess + z*std; the
-    default z = 6.5 keeps the per-parameter failure probability at the
-    1e-10 level for Gaussian spreads.
-    """
-    z = report.z if z is None else float(z)
-    if not 0.0 <= z < math.inf:
-        raise DomainError(f"z (confidence multiplier) must be finite and >= 0, got {z}")
-    return replace(
-        report,
-        z=z,
-        tau_a_low=min(max(report.tau_a - z * report.tau_a_std, 0.0), 1.0),
-        tau_b_low=min(max(report.tau_b - z * report.tau_b_std, 0.0), 1.0),
-        excess_q_up=report.excess_q + z * report.excess_q_std,
-        excess_p_up=report.excess_p + z * report.excess_p_std,
-    )
 
 
 def _plugin_noise(excess_q: float, excess_p: float) -> NoiseVars:
@@ -271,7 +264,7 @@ def _plugin_noise(excess_q: float, excess_p: float) -> NoiseVars:
     return NoiseVars(max(excess_q, floor), max(excess_p, floor))
 
 
-def estimate_channel(d: BlockMoments, v_m: float, z: float = 6.5) -> EstimationReport:
+def estimate_channel(d: BlockMoments, v_m: float, z: float = DEFAULT_Z) -> EstimationReport:
     """Full protocol-mode pipeline: estimates, plug-in spreads, bounds.
 
     The variance formulas are evaluated at the estimated parameters (the
@@ -283,14 +276,13 @@ def estimate_channel(d: BlockMoments, v_m: float, z: float = 6.5) -> EstimationR
     _, _, var_a = transmissivity_variance(tau_a, tau_b, v_m, noise, d.m)
     _, _, var_b = transmissivity_variance(tau_b, tau_a, v_m, noise, d.m)
     s_q_sq, s_p_sq = excess_noise_variance(noise, d.m)
-    report = EstimationReport(
+    return EstimationReport(
         tau_a, tau_b, math.sqrt(var_a), math.sqrt(var_b),
         excess_q, excess_p, math.sqrt(s_q_sq), math.sqrt(s_p_sq), z=z)
-    return worst_case(report)
 
 
 def report_from_parameters(tau_a: float, tau_b: float, noise: NoiseVars,
-                           v_m: float, m: int, z: float = 6.5) -> EstimationReport:
+                           v_m: float, m: int, z: float = DEFAULT_Z) -> EstimationReport:
     """Analysis-mode report: true values with analytic spreads and bounds.
 
     This is what a run over the given channel would report on average; it
@@ -299,7 +291,6 @@ def report_from_parameters(tau_a: float, tau_b: float, noise: NoiseVars,
     _, _, var_a = transmissivity_variance(tau_a, tau_b, v_m, noise, m)
     _, _, var_b = transmissivity_variance(tau_b, tau_a, v_m, noise, m)
     s_q_sq, s_p_sq = excess_noise_variance(noise, m)
-    report = EstimationReport(
+    return EstimationReport(
         tau_a, tau_b, math.sqrt(var_a), math.sqrt(var_b),
         noise.excess_q, noise.excess_p, math.sqrt(s_q_sq), math.sqrt(s_p_sq), z=z)
-    return worst_case(report)

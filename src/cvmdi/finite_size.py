@@ -6,9 +6,9 @@ import math
 from dataclasses import dataclass
 
 from .channel import ChannelParams, NoiseVars, noise_from_attack
-from .errors import ConfigurationError, DomainError
-from .estimation import EstimationReport, report_from_parameters
-from .keyrate import ProtocolParams, asymptotic_key_rate
+from .errors import DomainError
+from .estimation import DEFAULT_Z, EstimationReport, report_from_parameters
+from .keyrate import key_rate_breakdown, ProtocolParams, RateBreakdown
 
 
 @dataclass(frozen=True)
@@ -16,16 +16,15 @@ class FiniteSizeParams:
     """Split of a finite block into estimation and key-generation signals.
 
     n_bar signals are exchanged in total, m of them spent on estimation.
-    z = 6.5 keeps the chance of a parameter escaping its confidence band at
-    the eps_pe = 1e-10 level (one-sided Gaussian tail ~4e-11); eps_pa is
-    the privacy-amplification failure probability entering the penalty.
+    z is the confidence multiplier of the worst-case bounds, checked by
+    EstimationReport; eps_pa is the privacy-amplification failure
+    probability entering the penalty.
     """
 
     n_bar: int
     m: int
-    eps_pe: float = 1e-10
     eps_pa: float = 1e-10
-    z: float = 6.5
+    z: float = DEFAULT_Z
 
     def __post_init__(self):
         if self.n_bar <= 0:
@@ -34,13 +33,8 @@ class FiniteSizeParams:
             raise DomainError(
                 f"estimation samples must satisfy 0 < m < n_bar, got "
                 f"m={self.m}, n_bar={self.n_bar}")
-        for name in ("eps_pe", "eps_pa"):
-            eps = getattr(self, name)
-            if not 0.0 < eps < 1.0:
-                raise DomainError(f"{name} must lie in (0, 1), got {eps}")
-        if not 0.0 <= self.z < math.inf:
-            raise DomainError(
-                f"z (confidence multiplier) must be finite and >= 0, got {self.z}")
+        if not 0.0 < self.eps_pa < 1.0:
+            raise DomainError(f"eps_pa must lie in (0, 1), got {self.eps_pa}")
 
     @property
     def n(self) -> int:
@@ -78,20 +72,31 @@ def finite_size_penalty(n: int, eps_pa: float, prefactor: float = 1.0) -> float:
     return prefactor * math.sqrt(math.log2(2.0 / eps_pa) / n)
 
 
+@dataclass(frozen=True)
+class FiniteSizeRate:
+    """k = (n/n_bar) * (worst_case.k_infinity - penalty), with its parts."""
+
+    worst_case: RateBreakdown
+    penalty: float
+    k: float
+
+
+def finite_size_rate(protocol: ProtocolParams, report: EstimationReport,
+                     fs: FiniteSizeParams, delta_prefactor: float = 1.0) -> FiniteSizeRate:
+    """Finite-size rate and its parts, from the report's worst-case bounds:
+    lower transmissivities, upper excess noise."""
+    worst = key_rate_breakdown(protocol, report.tau_a_low, report.tau_b_low,
+                               NoiseVars(report.excess_q_up, report.excess_p_up))
+    penalty = finite_size_penalty(fs.n, fs.eps_pa, delta_prefactor)
+    return FiniteSizeRate(worst, penalty, fs.ratio * (worst.k_infinity - penalty))
+
+
 def finite_size_key_rate(protocol: ProtocolParams, report: EstimationReport,
                          fs: FiniteSizeParams, delta_prefactor: float = 1.0) -> float:
-    """Finite-size rate (n/n_bar) * (K_inf(worst case) - penalty).
-
-    The asymptotic rate is evaluated at the report's pessimistic bounds.
-    May be negative; truncation is left to the reporting layer.
-    """
-    if not report.bounded:
-        raise ConfigurationError(
-            "estimation report lacks worst-case bounds; apply worst_case first")
-    worst_noise = NoiseVars(report.excess_q_up, report.excess_p_up)
-    k_inf = asymptotic_key_rate(protocol, report.tau_a_low, report.tau_b_low,
-                                worst_noise)
-    return fs.ratio * (k_inf - finite_size_penalty(fs.n, fs.eps_pa, delta_prefactor))
+    """Finite-size rate (n/n_bar) * (K_inf(worst case) - penalty), as
+    finite_size_rate.  May be negative; truncation is left to the reporting
+    layer."""
+    return finite_size_rate(protocol, report, fs, delta_prefactor).k
 
 
 def projected_key_rate(protocol: ProtocolParams, channel: ChannelParams,

@@ -21,6 +21,7 @@ PHYSICALITY_TOL = 1e-9
 # relative error at the cutoff is ~2e-10 and falls off as 1/x^2.
 _ASYMPTOTE_CUTOFF = 1e4
 _LOG2_E = math.log2(math.e)
+_LN_2 = math.log(2.0)
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -60,7 +61,10 @@ def entropy_term(x: float) -> float:
         return _LOG2_E + math.log2(0.5 * x)
     up = 0.5 * (x + 1.0)
     down = 0.5 * (x - 1.0)
-    return up * math.log2(up) - down * math.log2(down)
+    # The same h, rewritten as down * log2(1 + 1/down) + log2(up): the
+    # textbook difference of two ~(x/2) log2(x/2) terms loses about
+    # log10(x) digits to cancellation (1e-11 absolute near x = 1e4).
+    return down * math.log1p(1.0 / down) / _LN_2 + math.log2(up)
 
 
 def symplectic_eigenvalues(v) -> list[float]:

@@ -17,12 +17,13 @@ import numpy as np
 
 from .channel import ChannelParams, noise_from_attack
 from .errors import ConfigurationError, DomainError
-from .estimation import estimate_channel
+from .estimation import DEFAULT_Z, estimate_channel
 from .finite_size import FiniteSizeParams, finite_size_key_rate, projected_key_rate
 from .keyrate import ProtocolParams, asymptotic_key_rate
 from .simulator import SimulationSpec, sample_dataset
 
 MODES = ("analysis", "protocol")
+SHRINK = 4.0  # each refinement round narrows the search window this much
 
 
 def default_v_m_grid() -> tuple[float, ...]:
@@ -49,12 +50,10 @@ class OptimizationSpec:
     n_bar: int
     v_m_grid: tuple[float, ...] = field(default_factory=default_v_m_grid)
     r_grid: tuple[float, ...] = field(default_factory=default_r_grid)
-    eps_pe: float = 1e-10
     eps_pa: float = 1e-10
-    z: float = 6.5
+    z: float = DEFAULT_Z
     delta_prefactor: float = 1.0
     refinement_rounds: int = 2
-    shrink: float = 4.0
     mode: str = "analysis"
     seed: int = 0
 
@@ -67,8 +66,6 @@ class OptimizationSpec:
             raise ConfigurationError("ratio grid must be non-empty within (0, 1)")
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.refinement_rounds < 0 or self.shrink <= 1.0:
-            raise ConfigurationError("need refinement_rounds >= 0 and shrink > 1")
 
 
 @dataclass
@@ -92,11 +89,11 @@ def _better(candidate: tuple[float, ...], best: tuple[float, ...]) -> bool:
 
 
 def _log_window(center: float, count: int, lo: float, hi: float,
-                shrink: float) -> list[float]:
-    """Log-spaced window over 1/shrink of the decades of [lo, hi], centred
+                factor: float) -> list[float]:
+    """Log-spaced window over 1/factor of the decades of [lo, hi], centred
     on center as far as the bounds allow."""
     lo_l, hi_l = math.log10(lo), math.log10(hi)
-    width = (hi_l - lo_l) / shrink
+    width = (hi_l - lo_l) / factor
     if width == 0.0:
         return [lo]
     start = min(max(math.log10(center) - width / 2.0, lo_l), hi_l - width)
@@ -104,29 +101,31 @@ def _log_window(center: float, count: int, lo: float, hi: float,
 
 
 def _linear_window(center: float, count: int, lo: float, hi: float,
-                   shrink: float) -> list[float]:
-    width = (hi - lo) / shrink
+                   factor: float) -> list[float]:
+    width = (hi - lo) / factor
     if width == 0.0:
         return [lo]
     start = min(max(center - width / 2.0, lo), hi - width)
     return [float(x) for x in np.linspace(start, start + width, count)]
 
 
-def _grid_refine(evaluate, axes, rounds: int, shrink: float):
+def _grid_refine(evaluate, axes, rounds: int):
     """Search a grid, then refine `rounds` times around the incumbent.
 
     axes holds one (grid, window) pair per argument of evaluate; round k
     replaces each grid by window(incumbent, len(grid), min(grid), max(grid),
-    shrink ** k).  Points run in row-major order, the first axis outermost.
+    SHRINK ** k).  Points run in row-major order, the first axis outermost.
     Returns (best, trace): best is (rate, *point), and trace lists every
     evaluation as (*point, rate), repeats included.
     """
+    if rounds < 0:
+        raise ConfigurationError("need refinement_rounds >= 0")
     grids = [list(grid) for grid, _ in axes]
     trace: list[tuple[float, ...]] = []
     best: tuple[float, ...] | None = None
     for round_index in range(rounds + 1):
         if round_index > 0:
-            factor = shrink ** round_index
+            factor = SHRINK ** round_index
             grids = [window(center, len(grid), min(grid), max(grid), factor)
                      for (grid, window), center in zip(axes, best[1:])]
         for point in itertools.product(*grids):
@@ -146,8 +145,8 @@ def _make_objective(spec: OptimizationSpec):
         if key in cache:
             return cache[key]
         protocol = ProtocolParams(v_m=v_m, xi=spec.xi)
-        fs = FiniteSizeParams.from_ratio(spec.n_bar, ratio, eps_pe=spec.eps_pe,
-                                         eps_pa=spec.eps_pa, z=spec.z)
+        fs = FiniteSizeParams.from_ratio(spec.n_bar, ratio, eps_pa=spec.eps_pa,
+                                         z=spec.z)
         if spec.mode == "analysis":
             rate = projected_key_rate(protocol, spec.channel, fs,
                                       spec.delta_prefactor)
@@ -173,7 +172,7 @@ def optimize_key_rate(spec: OptimizationSpec) -> OptimizationResult:
     (rate, v_m, ratio), trace = _grid_refine(
         _make_objective(spec),
         ((spec.v_m_grid, _log_window), (spec.r_grid, _linear_window)),
-        spec.refinement_rounds, spec.shrink)
+        spec.refinement_rounds)
     return OptimizationResult(v_m=v_m, ratio=ratio, rate=rate,
                               no_positive_rate=rate <= 0.0,
                               evaluations=len(trace), trace=trace)
@@ -181,8 +180,7 @@ def optimize_key_rate(spec: OptimizationSpec) -> OptimizationResult:
 
 def optimize_asymptotic(channel: ChannelParams, xi: float,
                         v_m_grid: tuple[float, ...] | None = None,
-                        refinement_rounds: int = 2,
-                        shrink: float = 4.0) -> tuple[float, float, list]:
+                        refinement_rounds: int = 2) -> tuple[float, float, list]:
     """1-D version for the asymptotic rate: returns (v_m, rate, trace)."""
     grid = tuple(float(v) for v in (v_m_grid if v_m_grid is not None
                                     else default_v_m_grid()))
@@ -198,5 +196,5 @@ def optimize_asymptotic(channel: ChannelParams, xi: float,
         return cache[v_m]
 
     (rate, v_m), trace = _grid_refine(evaluate, ((grid, _log_window),),
-                                      refinement_rounds, shrink)
+                                      refinement_rounds)
     return v_m, rate, trace

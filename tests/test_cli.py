@@ -39,6 +39,34 @@ class TestRate:
         assert finite["worst_case"]["tau_a_low"] < 0.98
         assert finite["penalty"] > 0.0
 
+    def test_finite_size_parts_are_the_optimizer_rate(self, capsys):
+        from cvmdi import (ChannelParams, db_to_transmissivity, FiniteSizeParams,
+                           optimize_key_rate, OptimizationSpec, projected_key_rate,
+                           ProtocolParams)
+        assert run_cli("rate", "--n-bar", "1e6", "--z", "5",
+                       "--delta-prefactor", "2") == 0
+        finite = json.loads(capsys.readouterr().out)["finite_size"]
+        channel = ChannelParams.two_mode_optimal(0.98, db_to_transmissivity(2.0),
+                                                 1.01, 1.01)
+        spec = OptimizationSpec(channel, 0.98, 10**6, z=5.0, delta_prefactor=2.0)
+        v_m, ratio = finite["v_m"], finite["ratio"]
+        fs = FiniteSizeParams.from_ratio(10**6, ratio, z=5.0)
+        assert finite["k"] == optimize_key_rate(spec).rate
+        assert finite["k"] == projected_key_rate(ProtocolParams(v_m, 0.98), channel,
+                                                 fs, 2.0)
+        assert finite["k"] == ratio * (finite["worst_case"]["k_infinity"]
+                                       - finite["penalty"])
+
+    def test_asymptotic_search_honours_refinement_rounds(self, capsys):
+        grid = np.geomspace(1.0, 1000.0, 25).tolist()
+        assert run_cli("rate", "--bob-db", "2", "--refinement-rounds", "0") == 0
+        assert json.loads(capsys.readouterr().out)["asymptotic"]["v_m"] in grid
+
+    def test_eps_pe_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("rate", "--n-bar", "1e6", "--eps-pe", "1e-10")
+        assert exit_info.value.code == 2
+
     def test_no_positive_rate_still_exits_zero(self, tmp_path):
         out = tmp_path / "rate.json"
         code = run_cli("rate", "--tau-a", "0.001", "--bob-db", "60",
@@ -91,6 +119,16 @@ class TestSweep:
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[1].split(",")[:3] == ["attenuation_db", "k_asymptotic", "k_N1e6"]
+
+    def test_asymptotic_column_honours_refinement_rounds(self, capsys):
+        from cvmdi import ChannelParams, db_to_transmissivity, optimize_asymptotic
+        assert run_cli("sweep", "--bob-db", "2", "--n-bar", "1e6", "--format", "json",
+                       "--refinement-rounds", "0") == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        channel = ChannelParams.two_mode_optimal(0.98, db_to_transmissivity(2.0),
+                                                 1.01, 1.01)
+        _, coarse, _ = optimize_asymptotic(channel, 0.98, refinement_rounds=0)
+        assert row[1] == coarse
 
     def test_zero_length_grid_is_config_error(self, capsys):
         assert run_cli("sweep", "--bob-db", "0:5:0") == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from cvmdi import (
     ChannelParams,
     ConfigurationError,
     DatasetError,
+    DomainError,
     estimate_channel,
     estimate_covariances,
     estimate_excess_noise,
@@ -21,7 +23,6 @@ from cvmdi import (
     SimulationSpec,
     transmissivities_per_quadrature,
     transmissivity_variance,
-    worst_case,
 )
 from cvmdi.simulator import _trial_values
 
@@ -82,9 +83,9 @@ def ref_estimate_channel(d, v_m):
     var_a = transmissivity_variance(tau_a, tau_b, v_m, noise, d.m)[2]
     var_b = transmissivity_variance(tau_b, tau_a, v_m, noise, d.m)[2]
     s_q_sq, s_p_sq = excess_noise_variance(noise, d.m)
-    return worst_case(EstimationReport(
+    return EstimationReport(
         tau_a, tau_b, math.sqrt(var_a), math.sqrt(var_b), *excess,
-        math.sqrt(s_q_sq), math.sqrt(s_p_sq)))
+        math.sqrt(s_q_sq), math.sqrt(s_p_sq))
 
 
 class TestMomentsAgainstRecords:
@@ -295,15 +296,14 @@ class TestExcessNoiseVariance:
 
 class TestWorstCase:
     def test_arithmetic(self):
-        report = EstimationReport(0.5, 0.5, 0.01, 0.01, 0.01, 0.01, 0.001, 0.001)
-        bounded = worst_case(report, z=6.5)
-        assert bounded.tau_a_low == pytest.approx(0.435)
-        assert bounded.excess_q_up == pytest.approx(0.0165)
+        report = EstimationReport(0.5, 0.5, 0.01, 0.01, 0.01, 0.01, 0.001, 0.001,
+                                  z=6.5)
+        assert report.tau_a_low == pytest.approx(0.435)
+        assert report.excess_q_up == pytest.approx(0.0165)
 
     def test_clamps_to_zero(self):
-        report = EstimationReport(0.5, 0.5, 0.2, 0.2, 0.0, 0.0, 0.0, 0.0)
-        bounded = worst_case(report, z=6.5)
-        assert bounded.tau_a_low == 0.0
+        report = EstimationReport(0.5, 0.5, 0.2, 0.2, 0.0, 0.0, 0.0, 0.0, z=6.5)
+        assert report.tau_a_low == 0.0
 
     def test_orderings(self, rng):
         for _ in range(20):
@@ -312,22 +312,36 @@ class TestWorstCase:
                 rng.uniform(0, 0.1), rng.uniform(0, 0.1),
                 rng.normal(0, 0.05), rng.normal(0, 0.05),
                 rng.uniform(0, 0.01), rng.uniform(0, 0.01))
-            bounded = worst_case(report)
-            assert bounded.tau_a_low <= bounded.tau_a
-            assert bounded.tau_b_low <= bounded.tau_b
-            assert bounded.excess_q_up >= bounded.excess_q
-            assert bounded.excess_p_up >= bounded.excess_p
+            assert report.tau_a_low <= report.tau_a
+            assert report.tau_b_low <= report.tau_b
+            assert report.excess_q_up >= report.excess_q
+            assert report.excess_p_up >= report.excess_p
 
     def test_default_z(self):
         report = EstimationReport(0.5, 0.5, 0.01, 0.01, 0.0, 0.0, 0.001, 0.001)
-        assert worst_case(report).z == 6.5
+        assert report.z == 6.5
+        assert report.tau_a_low == pytest.approx(0.435)
+
+    def test_replacing_z_recomputes_the_bounds(self):
+        report = EstimationReport(0.5, 0.5, 0.01, 0.02, 0.01, 0.02, 0.001, 0.002)
+        wider = dataclasses.replace(report, z=10.0)
+        assert wider.z == 10.0
+        assert wider.tau_a_low == 0.5 - 10.0 * 0.01
+        assert wider.excess_p_up == 0.02 + 10.0 * 0.002
+        assert wider == EstimationReport(0.5, 0.5, 0.01, 0.02, 0.01, 0.02,
+                                         0.001, 0.002, z=10.0)
+
+    @pytest.mark.parametrize("z", [-1.0, math.inf, math.nan])
+    def test_bad_z_rejected_by_name(self, z):
+        with pytest.raises(DomainError, match="z \\(confidence multiplier\\)"):
+            EstimationReport(0.5, 0.5, 0.01, 0.01, 0.0, 0.0, 0.001, 0.001, z=z)
 
 
 class TestPipelines:
     def test_estimate_channel_completes_report(self, rng):
         d = make_dataset(rng, 10**4, 0.98, 0.5, 10.0)
         report = estimate_channel(d, 10.0)
-        assert report.bounded
+        assert report.tau_a_low < report.tau_a
         assert report.tau_a == pytest.approx(0.98, abs=0.1)
         assert report.tau_a_std > 0
 
@@ -336,7 +350,7 @@ class TestPipelines:
         assert report.tau_a == 0.98
         assert report.excess_q == 0.0
         assert report.tau_a_std == pytest.approx(math.sqrt(1.042718e-4 / 2.0), rel=1e-5)
-        assert report.bounded
+        assert report.tau_a_low == 0.98 - 6.5 * report.tau_a_std
 
     def test_analysis_and_protocol_modes_agree_statistically(self, rng):
         truth = report_from_parameters(0.98, 0.5, PURE_LOSS, 10.0, 10**5, z=6.5)

@@ -5,7 +5,6 @@ import pytest
 
 from cvmdi import (
     ChannelParams,
-    ConfigurationError,
     db_to_transmissivity,
     DomainError,
     EstimationReport,
@@ -40,7 +39,6 @@ class TestFiniteSizeParams:
         dict(n_bar=100, m=100),
         dict(n_bar=0, m=1),
         dict(n_bar=100, m=10, eps_pa=0.0),
-        dict(n_bar=100, m=10, eps_pe=1.5),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
@@ -81,18 +79,12 @@ class TestFiniteSizeKeyRate:
         self.noise = noise_from_attack(self.channel)
         self.protocol = ProtocolParams(60.0, 0.98)
 
-    def test_requires_bounded_report(self):
-        report = EstimationReport(0.9, 0.5, 0.01, 0.01, 0.0, 0.0, 0.001, 0.001)
-        fs = FiniteSizeParams(n_bar=10**6, m=10**5)
-        with pytest.raises(ConfigurationError):
-            finite_size_key_rate(self.protocol, report, fs)
-
     def test_exact_parameters_reduce_to_scaled_asymptotic(self):
         # zero spreads and a unit penalty prefactor of 0: K = ratio * K_inf
-        from cvmdi import asymptotic_key_rate, worst_case
-        report = worst_case(EstimationReport(
+        from cvmdi import asymptotic_key_rate
+        report = EstimationReport(
             self.channel.tau_a, self.channel.tau_b, 0.0, 0.0,
-            self.noise.excess_q, self.noise.excess_p, 0.0, 0.0))
+            self.noise.excess_q, self.noise.excess_p, 0.0, 0.0)
         fs = FiniteSizeParams(n_bar=10**6, m=2)
         k = finite_size_key_rate(self.protocol, report, fs, delta_prefactor=0.0)
         k_inf = asymptotic_key_rate(self.protocol, self.channel.tau_a,

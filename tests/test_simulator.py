@@ -175,6 +175,21 @@ class TestRunTrials:
         kinds = {c["kind"] for c in stats.comparisons}
         assert kinds == {"relative", "z"}
 
+    @pytest.mark.parametrize("m", [10**14, 10**16])
+    def test_variances_do_not_cancel_at_large_blocks(self, m):
+        # At large m the per-trial spread is tiny next to the mean, where
+        # sum(x^2) - n mean^2 loses every significant digit.
+        spec = SimulationSpec(PURE_LOSS, 10.0, m, trials=500, seed=7)
+        noise = simulator.noise_from_attack(PURE_LOSS)
+        record_map = simulator._record_map(spec, noise)
+        values = np.array([
+            simulator._trial_values(simulator._draw_moments(spec, record_map, t),
+                                    10.0, PURE_LOSS, noise)
+            for t in range(spec.trials)])
+        variances = run_trials(spec).variances
+        for name, column in zip(simulator._TRACKED, values.T):
+            assert variances[name] == pytest.approx(np.var(column, ddof=1), rel=1e-8)
+
     def test_single_trial_marks_insufficient_data(self):
         spec = SimulationSpec(PURE_LOSS, 10.0, 100, 1, seed=1)
         stats = run_trials(spec)
