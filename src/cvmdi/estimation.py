@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import NoiseVars
-from .errors import ConfigurationError, DatasetError, DomainError
+from .errors import (ConfigurationError, DatasetError, DomainError,
+                     NumericalDegeneracyError)
 
 CSV_HEADER = "a_q,a_p,b_q,b_p,r_q,r_p"
 
@@ -209,7 +210,12 @@ def excess_noise_variance(noise: NoiseVars, m: int) -> tuple[float, float]:
     """Analytic variances (2/m) * total^2 of the excess-noise estimators."""
     if m < 1:
         raise DomainError(f"sample count must be >= 1, got {m}")
-    return 2.0 * noise.total_q ** 2 / m, 2.0 * noise.total_p ** 2 / m
+    try:
+        return 2.0 * noise.total_q ** 2 / m, 2.0 * noise.total_p ** 2 / m
+    except OverflowError:
+        raise NumericalDegeneracyError(
+            f"excess-noise variance overflows: total noise ({noise.total_q:.6g}, "
+            f"{noise.total_p:.6g}) is too large to square") from None
 
 
 @dataclass(frozen=True)

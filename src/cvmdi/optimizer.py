@@ -17,8 +17,8 @@ import numpy as np
 
 from .channel import ChannelParams, noise_from_attack
 from .errors import ConfigurationError, DomainError
-from .estimation import DEFAULT_Z, estimate_channel
-from .finite_size import FiniteSizeParams, finite_size_key_rate, projected_key_rate
+from .estimation import DEFAULT_Z, estimate_channel, report_from_parameters
+from .finite_size import FiniteSizeParams, finite_size_key_rate
 from .keyrate import ProtocolParams, asymptotic_key_rate
 from .simulator import SimulationSpec, sample_dataset
 
@@ -66,6 +66,8 @@ class OptimizationSpec:
             raise ConfigurationError("ratio grid must be non-empty within (0, 1)")
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -139,6 +141,8 @@ def _grid_refine(evaluate, axes, rounds: int):
 
 def _make_objective(spec: OptimizationSpec):
     cache: dict[tuple[float, float], float] = {}
+    channel = spec.channel
+    noise = noise_from_attack(channel)
 
     def evaluate(v_m: float, ratio: float) -> float:
         key = (v_m, ratio)
@@ -148,13 +152,14 @@ def _make_objective(spec: OptimizationSpec):
         fs = FiniteSizeParams.from_ratio(spec.n_bar, ratio, eps_pa=spec.eps_pa,
                                          z=spec.z)
         if spec.mode == "analysis":
-            rate = projected_key_rate(protocol, spec.channel, fs,
-                                      spec.delta_prefactor)
+            # projected_key_rate, with the relay noise computed once per search
+            report = report_from_parameters(channel.tau_a, channel.tau_b, noise,
+                                            v_m, fs.m, z=fs.z)
         else:
-            sim = SimulationSpec(spec.channel, v_m, fs.m, trials=1, seed=spec.seed)
+            sim = SimulationSpec(channel, v_m, fs.m, trials=1, seed=spec.seed)
             dataset = sample_dataset(sim, trial_index=len(cache))
             report = estimate_channel(dataset, v_m, z=spec.z)
-            rate = finite_size_key_rate(protocol, report, fs, spec.delta_prefactor)
+        rate = finite_size_key_rate(protocol, report, fs, spec.delta_prefactor)
         cache[key] = rate
         return rate
 

@@ -22,10 +22,17 @@ Two samplers draw a block from the stream of its (seed, trial index):
   with W ~ Wishart(m, I_3).  W = A A^T is drawn by Bartlett's decomposition
   (Smith & Hocking, Appl. Stat. 21:341, 1972): A is lower triangular with
   A_ii^2 ~ chi^2(m - i) and standard normals below the diagonal.
-  `run_trials` uses it, so a trial costs the same at any block size.
 
 The two share the law of a block, not its draws: the same (seed, trial
 index) gives unrelated blocks in the two samplers.
+
+`run_trials` draws moments, so a trial costs the same at any block size.
+It works in chunks of trials: each trial still draws from its own stream,
+so its moments are bitwise those of `sample_moments`, and a chunk's
+estimates come from a few array expressions that follow the scalar
+estimators of `estimation` operation by operation, bitwise.  Means and
+variances are merged chunk by chunk, so memory stays bounded at any trial
+count.
 """
 
 from __future__ import annotations
@@ -36,15 +43,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelParams, NoiseVars, noise_from_attack
-from .errors import DomainError
+from .errors import DomainError, NumericalDegeneracyError
 from .estimation import (
-    _residual_power,
+    _check_v_m,
+    _MIN_TOTAL,
     BlockMoments,
-    estimate_channel,
-    estimate_covariances,
+    DEFAULT_Z,
     excess_noise_variance,
     QuadratureDataset,
-    transmissivities_per_quadrature,
     transmissivity_variance,
 )
 
@@ -71,6 +77,8 @@ class SimulationSpec:
             raise DomainError(f"samples per trial must be >= 2, got {self.m}")
         if self.trials < 1:
             raise DomainError(f"trial count must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 def trial_generator(seed: int, trial_index: int) -> np.random.Generator:
@@ -115,17 +123,27 @@ def _record_map(spec: SimulationSpec, noise: NoiseVars) -> np.ndarray:
     ])
 
 
-def _draw_moments(spec: SimulationSpec, record_map: np.ndarray,
-                  trial_index: int) -> BlockMoments:
-    rng = trial_generator(spec.seed, trial_index)
-    bartlett = np.zeros((2, 3, 3))
-    # chi^2(k) as 2 Gamma(k/2), which is 0 at k = 0 (m = 2) where
-    # Generator.chisquare raises.
-    bartlett[:, _DIAGONAL, _DIAGONAL] = np.sqrt(
-        2.0 * rng.standard_gamma((spec.m - _DIAGONAL) / 2.0, size=(2, 3)))
-    bartlett[:, _BELOW[0], _BELOW[1]] = rng.standard_normal((2, 3))
+def _draw_moments(spec: SimulationSpec, record_map: np.ndarray, first: int,
+                  count: int) -> np.ndarray:
+    """Moment matrices, shape (count, 2, 3, 3), of trials first, first + 1, ...
+
+    Each trial draws its Bartlett factors from its own stream, so a trial's
+    moments do not depend on the trials drawn with it.
+    """
+    half_dof = (spec.m - _DIAGONAL) / 2.0
+    gammas = np.empty((count, 2, 3))
+    normals = np.empty((count, 2, 3))
+    for i in range(count):
+        rng = trial_generator(spec.seed, first + i)
+        # chi^2(k) as 2 Gamma(k/2), which is 0 at k = 0 (m = 2) where
+        # Generator.chisquare raises.
+        rng.standard_gamma(half_dof, size=(2, 3), out=gammas[i])
+        rng.standard_normal(out=normals[i])
+    bartlett = np.zeros((count, 2, 3, 3))
+    bartlett[..., _DIAGONAL, _DIAGONAL] = np.sqrt(2.0 * gammas)
+    bartlett[..., _BELOW[0], _BELOW[1]] = normals
     loaded = record_map @ bartlett
-    return BlockMoments(loaded @ loaded.transpose(0, 2, 1) / spec.m, spec.m)
+    return loaded @ loaded.transpose(0, 1, 3, 2) / spec.m
 
 
 def sample_moments(spec: SimulationSpec, trial_index: int = 0) -> BlockMoments:
@@ -135,36 +153,8 @@ def sample_moments(spec: SimulationSpec, trial_index: int = 0) -> BlockMoments:
     come from the same (seed, trial_index) stream but are not those of the
     records, and no record is drawn.
     """
-    return _draw_moments(spec, _record_map(spec, noise_from_attack(spec.channel)),
-                         trial_index)
-
-
-@dataclass
-class _Moments:
-    """Streaming mean and variance.  The variance sums squared deviations
-    from the running mean (Welford, Technometrics 4:419, 1962), which does
-    not cancel, as sum(x^2) - n mean^2 does, when the spread is tiny."""
-
-    count: int = 0
-    total: float = 0.0
-    running_mean: float = 0.0
-    sum_sq_dev: float = 0.0
-
-    def add(self, x: float) -> None:
-        self.count += 1
-        self.total += x
-        delta = x - self.running_mean
-        self.running_mean += delta / self.count
-        self.sum_sq_dev += delta * (x - self.running_mean)
-
-    def mean(self) -> float:
-        return self.total / self.count
-
-    def variance(self) -> float | None:
-        """Unbiased sample variance; None with fewer than two samples."""
-        if self.count < 2:
-            return None
-        return self.sum_sq_dev / (self.count - 1)
+    record_map = _record_map(spec, noise_from_attack(spec.channel))
+    return BlockMoments(_draw_moments(spec, record_map, trial_index, 1)[0], spec.m)
 
 
 _TRACKED = (
@@ -281,40 +271,154 @@ def _build_comparisons(expected: dict[str, float], means: dict[str, float],
     return records
 
 
-def _trial_values(block: BlockMoments, v_m: float, channel: ChannelParams,
-                  noise: NoiseVars) -> tuple[float, ...]:
-    """The _TRACKED values of one block, in that order."""
-    c_aq, c_ap, c_bq, c_bp = estimate_covariances(block)
-    ta_q, ta_p, tb_q, tb_p = transmissivities_per_quadrature(block, v_m)
-    report = estimate_channel(block, v_m)
-    power_q, power_p = _residual_power(block, channel.tau_a, channel.tau_b)
-    return (report.tau_a, report.tau_b, ta_q, ta_p, tb_q, tb_p,
-            report.excess_q, report.excess_p, c_aq, c_ap, c_bq, c_bp,
-            block.m * power_q / noise.total_q, block.m * power_p / noise.total_p)
+def _residual_powers(moments: np.ndarray, tau_a, tau_b) -> np.ndarray:
+    """_residual_power of each block of a stack, shape (k, 2): q, then p.
+    tau_a and tau_b hold one value per block, or one for all."""
+    half_a = np.sqrt(np.minimum(np.maximum(tau_a, 0.0), 1.0) / 2.0)
+    half_b = np.sqrt(np.minimum(np.maximum(tau_b, 0.0), 1.0) / 2.0)
+    w = np.ones((len(moments), 2, 1, 3))
+    w[:, 0, 0, 0] = half_a
+    w[:, 1, 0, 0] = -half_a
+    w[:, :, 0, 1] = -half_b[..., None]
+    return ((w @ moments) @ w.transpose(0, 1, 3, 2))[:, :, 0, 0]
+
+
+def _plugin_totals(excess: np.ndarray) -> np.ndarray:
+    """Total noise of _plugin_noise for each row of excess (k, 2), after
+    NoiseVars' finiteness check; the floor keeps every total positive."""
+    floored = np.maximum(excess, _MIN_TOTAL - 1.0)
+    bad = np.argwhere(~np.isfinite(floored))
+    if len(bad):
+        block, quad = bad[0]
+        raise DomainError(f"excess_{'qp'[quad]} must be finite, "
+                          f"got {floored[block, quad]}")
+    return 1.0 + floored
+
+
+def _transmissivity_variances(tau: np.ndarray, other: np.ndarray, v_m: float,
+                              totals: np.ndarray, m: int):
+    """transmissivity_variance over a stack: (var_q, var_p, combined)."""
+    weight = tau + 0.5 * other
+    base = 8.0 * tau * weight / m
+    var_q = base * (1.0 + totals[:, 0] / (weight * v_m))
+    var_p = base * (1.0 + totals[:, 1] / (weight * v_m))
+    combined = var_q * var_p / (var_q + var_p)
+    signal_free = tau == 0.0
+    return (np.where(signal_free, 0.0, var_q), np.where(signal_free, 0.0, var_p),
+            np.where(signal_free, 0.0, combined))
+
+
+def _combine(est_q: np.ndarray, est_p: np.ndarray, var_q: np.ndarray,
+             var_p: np.ndarray) -> np.ndarray:
+    den = var_q + var_p
+    return np.where(den == 0.0, 0.5 * (est_q + est_p),
+                    (est_q * var_p + est_p * var_q) / den)
+
+
+def _tracked_values(moments: np.ndarray, m: int, v_m: float,
+                    channel: ChannelParams, noise: NoiseVars) -> np.ndarray:
+    """The _TRACKED values, shape (14, k), of a stack of blocks' moments
+    (k, 2, 3, 3).
+
+    Column t is bitwise what the scalar estimators give for block t: each
+    array expression follows estimate_covariances,
+    transmissivities_per_quadrature, estimate_channel and _residual_power
+    operation by operation.  Their checks hold over the whole stack and
+    raise the same exception types.
+    """
+    _check_v_m(v_m)
+    if m < 1:
+        raise DomainError(f"sample count must be >= 1, got {m}")
+    # The scalar estimators work in Python floats, which overflow to inf
+    # and turn invalid operations into NaN without a warning, and np.where
+    # evaluates the branches the scalar code skips.  The checks below raise
+    # where the scalar code raises.
+    with np.errstate(all="ignore"):
+        covs = np.stack([moments[:, 0, 0, 2], moments[:, 1, 0, 2],
+                         moments[:, 0, 1, 2], moments[:, 1, 1, 2]])
+        ta_q, ta_p, tb_q, tb_p = per_quad = 2.0 / (v_m * v_m) * covs * covs
+        ta0 = 0.5 * (ta_q + ta_p)
+        tb0 = 0.5 * (tb_q + tb_p)
+        totals = _plugin_totals(_residual_powers(moments, ta0, tb0) - 1.0)
+        tau_a = _combine(ta_q, ta_p,
+                         *_transmissivity_variances(ta0, tb0, v_m, totals, m)[:2])
+        tau_b = _combine(tb_q, tb_p,
+                         *_transmissivity_variances(tb0, ta0, v_m, totals, m)[:2])
+
+        excess = _residual_powers(moments, tau_a, tau_b) - 1.0
+        totals = _plugin_totals(excess)
+        squares = totals ** 2
+        if not np.isfinite(squares).all():
+            block = np.argwhere(~np.isfinite(squares))[0][0]
+            raise NumericalDegeneracyError(
+                f"excess-noise variance overflows: total noise ({totals[block, 0]:.6g}, "
+                f"{totals[block, 1]:.6g}) is too large to square")
+        _check_report(tau_a, tau_b,
+                      _transmissivity_variances(tau_a, tau_b, v_m, totals, m)[2],
+                      _transmissivity_variances(tau_b, tau_a, v_m, totals, m)[2],
+                      excess, 2.0 * squares / m)
+
+        true_power = _residual_powers(moments, channel.tau_a, channel.tau_b)
+        chi2 = m * true_power / np.array([noise.total_q, noise.total_p])
+    return np.vstack([tau_a, tau_b, per_quad, excess.T, covs, chi2.T])
+
+
+def _check_report(tau_a: np.ndarray, tau_b: np.ndarray, var_a: np.ndarray,
+                  var_b: np.ndarray, excess: np.ndarray, excess_var: np.ndarray) -> None:
+    """EstimationReport's checks at DEFAULT_Z, over a stack."""
+    variances = np.stack([var_a, var_b, *excess_var.T])
+    if (variances < 0.0).any():
+        raise DomainError("standard deviations must be >= 0")
+    std_a, std_b, *excess_std = DEFAULT_Z * np.sqrt(variances)
+    tau_a_low = np.minimum(np.maximum(tau_a - std_a, 0.0), 1.0)
+    tau_b_low = np.minimum(np.maximum(tau_b - std_b, 0.0), 1.0)
+    excess_up = excess + np.transpose(excess_std)
+    if not ((tau_a_low <= tau_a) & (tau_b_low <= tau_b)
+            & (excess_up >= excess).all(axis=1)).all():
+        raise DomainError("worst-case bounds must lie below the transmissivities "
+                          "and above the excess noise")
+
+
+# Trials drawn and estimated together; bounds run_trials' memory at any
+# trial count.
+_CHUNK = 1024
 
 
 def run_trials(spec: SimulationSpec) -> TrialStatistics:
     """Run the full estimation pipeline over many independent blocks.
 
-    Each trial draws one block's moment matrices as `sample_moments` does,
-    in O(1), from its own RNG stream derived from (seed, trial index);
-    means and variances accumulate trial by trial in O(1) memory.  The
-    chi-square statistic (normalized residual sum at the true parameters)
-    is tracked alongside the estimators as a distributional cross-check.
+    Trials go in chunks of up to _CHUNK blocks: each trial draws its
+    block's moments as `sample_moments` does, from its own (seed, trial
+    index) stream, and a chunk's values come from `_tracked_values`.  Each
+    chunk is reduced to its mean and sum of squared deviations (two passes),
+    and chunks merge by the pairwise update of Chan, Golub & LeVeque (Am.
+    Stat. 37:242, 1983), which does not cancel, as sum(x^2) - n mean^2 does,
+    when the spread is tiny.  The chi-square statistic (normalized residual
+    sum at the true parameters) is tracked alongside the estimators as a
+    distributional cross-check.
     """
     channel = spec.channel
     noise = noise_from_attack(channel)
     record_map = _record_map(spec, noise)
-    acc = {name: _Moments() for name in _TRACKED}
-
-    for trial in range(spec.trials):
-        block = _draw_moments(spec, record_map, trial)
-        for name, value in zip(_TRACKED, _trial_values(block, spec.v_m, channel, noise)):
-            acc[name].add(value)
+    count = 0
+    mean = np.zeros(len(_TRACKED))
+    sum_sq_dev = np.zeros(len(_TRACKED))
+    for first in range(0, spec.trials, _CHUNK):
+        size = min(_CHUNK, spec.trials - first)
+        values = _tracked_values(_draw_moments(spec, record_map, first, size),
+                                 spec.m, spec.v_m, channel, noise)
+        chunk_mean = values.mean(axis=1)
+        chunk_sq_dev = ((values - chunk_mean[:, None]) ** 2).sum(axis=1)
+        delta = chunk_mean - mean
+        merged = count + size
+        mean = mean + delta * (size / merged)
+        sum_sq_dev = sum_sq_dev + chunk_sq_dev + delta * delta * (count * size / merged)
+        count = merged
 
     expected = _expected_statistics(channel, noise, spec.v_m, spec.m)
-    means = {name: acc[name].mean() for name in _TRACKED}
-    variances = {name: acc[name].variance() for name in _TRACKED}
+    means = dict(zip(_TRACKED, mean.tolist()))
+    variances = dict.fromkeys(_TRACKED) if count < 2 else \
+        dict(zip(_TRACKED, (sum_sq_dev / (count - 1)).tolist()))
     comparisons = _build_comparisons(expected, means, variances, spec.trials)
     return TrialStatistics(channel, spec.v_m, spec.m, spec.trials, spec.seed,
                            noise, expected, means, variances, comparisons)

@@ -322,7 +322,16 @@ class TestBadInput:
           "--tolerance", "-0.1"), "tolerance"),
         (("rate", "--n-bar", "inf"), "bad block-size list"),
         (("rate", "--n-bar", "1e6,2.5"), "bad block-size list"),
+        (("simulate", "--tau-b", "0.5", "--m", "100", "--trials", "2",
+          "--seed", "-1"), "seed"),
+        (("optimize", "--mode", "protocol", "--n-bar", "1e4", "--seed", "-1"), "seed"),
     ])
     def test_invalid_number_exits_two_naming_it(self, capsys, argv, name):
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {name} ")
+
+    def test_overflowing_noise_estimate_exits_three(self, capsys):
+        # the estimated excess noise at v_m = 1e300 is too large to square
+        assert run_cli("simulate", "--tau-b", "0.5", "--v-m", "1e300", "--m", "100",
+                       "--trials", "2") == 3
+        assert capsys.readouterr().err.startswith("error: excess-noise variance overflows")

@@ -17,6 +17,7 @@ from cvmdi import (
     excess_noise_variance,
     noise_from_attack,
     NoiseVars,
+    NumericalDegeneracyError,
     QuadratureDataset,
     report_from_parameters,
     sample_dataset,
@@ -24,7 +25,7 @@ from cvmdi import (
     transmissivities_per_quadrature,
     transmissivity_variance,
 )
-from cvmdi.simulator import _trial_values
+from cvmdi.simulator import _tracked_values
 
 PURE_LOSS = NoiseVars(0.0, 0.0)
 
@@ -124,7 +125,7 @@ class TestMomentsAgainstRecords:
         got, want = np.zeros(2), np.zeros(2)
         for trial in range(spec.trials):
             d = sample_dataset(spec, trial)
-            got += _trial_values(d, v_m, channel, noise)[-2:]
+            got += _tracked_values(d.moments[None], d.m, v_m, channel, noise)[-2:, 0]
             residuals = ref_residuals(d, channel.tau_a, channel.tau_b)
             want += [float(res @ res) / total for res, total in zip(residuals, totals)]
         # chi^2 grows with m, so it is compared per record, on the scale of
@@ -292,6 +293,10 @@ class TestExcessNoiseVariance:
     def test_reference_value(self):
         s_q_sq, _ = excess_noise_variance(NoiseVars(0.02, 0.02), 10**6)
         assert s_q_sq == pytest.approx(2.0808e-6, rel=1e-6)
+
+    def test_total_too_large_to_square_is_typed(self):
+        with pytest.raises(NumericalDegeneracyError, match="overflows"):
+            excess_noise_variance(NoiseVars(1e300, 0.0), 10)
 
 
 class TestWorstCase:

@@ -6,14 +6,22 @@ import pytest
 from cvmdi import (
     BlockMoments,
     ChannelParams,
+    ConfigurationError,
+    CVMDIError,
     DomainError,
+    estimate_channel,
+    estimate_covariances,
     NoiseVars,
+    noise_from_attack,
+    NumericalDegeneracyError,
     run_trials,
     sample_dataset,
     sample_moments,
     SimulationSpec,
+    transmissivities_per_quadrature,
 )
 from cvmdi import simulator
+from cvmdi.estimation import _residual_power
 
 PURE_LOSS = ChannelParams.pure_loss(0.98, 0.5)
 ATTACKS = {
@@ -35,6 +43,25 @@ def entry_statistics(blocks):
     var = (dev ** 2).sum(axis=0) / (n - 1)
     fourth = (dev ** 4).mean(axis=0)
     return (mean, var / n), (var, (fourth - var ** 2) / n)
+
+
+def scalar_values(block, v_m, channel, noise):
+    """simulator._TRACKED values of one block from estimation's scalar
+    estimators.  chi^2 reads the residual power at the true transmissivities
+    from _residual_power, which estimate_excess_noise returns less 1; adding
+    the 1 back would round once for powers below 1/2."""
+    report = estimate_channel(block, v_m)
+    power_q, power_p = _residual_power(block, channel.tau_a, channel.tau_b)
+    return (report.tau_a, report.tau_b, *transmissivities_per_quadrature(block, v_m),
+            report.excess_q, report.excess_p, *estimate_covariances(block),
+            block.m * power_q / noise.total_q, block.m * power_p / noise.total_p)
+
+
+def scalar_campaign(spec):
+    """Per-trial scalar values of a campaign, shape (trials, 14)."""
+    noise = noise_from_attack(spec.channel)
+    return np.array([scalar_values(sample_moments(spec, t), spec.v_m, spec.channel, noise)
+                     for t in range(spec.trials)])
 
 
 def two_sample_z(first, second):
@@ -180,12 +207,7 @@ class TestRunTrials:
         # At large m the per-trial spread is tiny next to the mean, where
         # sum(x^2) - n mean^2 loses every significant digit.
         spec = SimulationSpec(PURE_LOSS, 10.0, m, trials=500, seed=7)
-        noise = simulator.noise_from_attack(PURE_LOSS)
-        record_map = simulator._record_map(spec, noise)
-        values = np.array([
-            simulator._trial_values(simulator._draw_moments(spec, record_map, t),
-                                    10.0, PURE_LOSS, noise)
-            for t in range(spec.trials)])
+        values = scalar_campaign(spec)
         variances = run_trials(spec).variances
         for name, column in zip(simulator._TRACKED, values.T):
             assert variances[name] == pytest.approx(np.var(column, ddof=1), rel=1e-8)
@@ -210,3 +232,68 @@ class TestRunTrials:
         b = run_trials(spec)
         assert a.means == b.means
         assert a.variances == b.variances
+
+
+class TestBatchedValues:
+    """run_trials' array expressions against the scalar estimators."""
+
+    @pytest.mark.parametrize("m", [2, 7, 10**5, 10**16])
+    @pytest.mark.parametrize("attack", sorted(ATTACKS))
+    def test_values_equal_the_scalar_estimators(self, attack, m):
+        channel = ATTACKS[attack]
+        spec = SimulationSpec(channel, 10.0, m, trials=200, seed=5)
+        noise = noise_from_attack(channel)
+        moments = simulator._draw_moments(spec, simulator._record_map(spec, noise),
+                                          0, spec.trials)
+        for t in range(spec.trials):
+            np.testing.assert_array_equal(moments[t], sample_moments(spec, t).moments)
+        np.testing.assert_array_equal(
+            simulator._tracked_values(moments, m, spec.v_m, channel, noise).T,
+            scalar_campaign(spec))
+
+    def test_chunks_merge_to_the_campaign_statistics(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_CHUNK", 7)
+        spec = SimulationSpec(ATTACKS["collective"], 10.0, 1000, trials=50, seed=3)
+        values = scalar_campaign(spec)
+        stats = run_trials(spec)
+        for name, column in zip(simulator._TRACKED, values.T):
+            np.testing.assert_allclose(stats.means[name], np.mean(column),
+                                       rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(stats.variances[name], np.var(column, ddof=1),
+                                       rtol=1e-12, atol=0.0)
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return np.asarray(call(), dtype=float)
+        except CVMDIError as exc:
+            return type(exc)
+
+    @pytest.mark.parametrize("entries, m, v_m, error", [
+        pytest.param([(np.s_[0, 2, 2], math.nan)], 100, 10.0, DomainError, id="nan-relay"),
+        pytest.param([(np.s_[1, 2, 2], math.inf)], 100, 10.0, DomainError, id="inf-relay"),
+        pytest.param([(np.s_[0, 0, 2], math.nan), (np.s_[0, 2, 0], math.nan)], 100, 10.0,
+                     DomainError, id="nan-covariance"),
+        pytest.param([(np.s_[:, 0, 2], 1e300), (np.s_[:, 2, 0], 1e300)], 100, 10.0,
+                     DomainError, id="transmissivity-overflow"),
+        pytest.param([(np.s_[:, 2, 2], 1e300)], 100, 10.0, NumericalDegeneracyError,
+                     id="excess-variance-overflow"),
+        pytest.param([(np.s_[:, 2, 2], -5.0)], 100, 10.0, None, id="plug-in-floor"),
+        pytest.param([(np.s_[...], 0.0)], 100, 10.0, None, id="signal-free"),
+        pytest.param([], 100, 0.0, ConfigurationError, id="zero-v_m"),
+        pytest.param([], 0, 10.0, DomainError, id="zero-m"),
+    ])
+    def test_bad_blocks_raise_as_the_scalar_path(self, entries, m, v_m, error):
+        spec = SimulationSpec(ATTACKS["collective"], 10.0, 100, trials=3, seed=1)
+        noise = noise_from_attack(spec.channel)
+        stack = np.array([sample_moments(spec, t).moments for t in range(3)])
+        for index, value in entries:
+            stack[1][index] = value
+        scalar = self.outcome(lambda: [
+            scalar_values(BlockMoments(g, m), v_m, spec.channel, noise) for g in stack])
+        batched = self.outcome(lambda: simulator._tracked_values(
+            stack, m, v_m, spec.channel, noise).T)
+        if error is None:
+            np.testing.assert_array_equal(batched, scalar)
+        else:
+            assert scalar is error and batched is error
