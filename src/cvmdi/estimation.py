@@ -111,6 +111,17 @@ def _check_v_m(v_m: float) -> None:
             f"modulation variance must be finite and positive for estimation, got {v_m}")
 
 
+def _transmissivity_scale(v_m: float) -> float:
+    """2 / v_m^2, which maps a squared covariance to a transmissivity."""
+    _check_v_m(v_m)
+    square = v_m * v_m
+    scale = 2.0 / square if square > 0.0 else math.inf
+    if scale == math.inf:
+        raise NumericalDegeneracyError(
+            f"modulation variance {v_m:.6g} is too small: 2 / v_m^2 overflows")
+    return scale
+
+
 def estimate_covariances(d: BlockMoments) -> tuple[float, float, float, float]:
     """Empirical mean products between modulation and relay records.
 
@@ -126,9 +137,8 @@ def estimate_covariances(d: BlockMoments) -> tuple[float, float, float, float]:
 def transmissivities_per_quadrature(
         d: BlockMoments, v_m: float) -> tuple[float, float, float, float]:
     """Per-quadrature transmissivity estimates 2 C^2 / v_m^2 for both links."""
-    _check_v_m(v_m)
+    scale = _transmissivity_scale(v_m)
     c_aq, c_ap, c_bq, c_bp = estimate_covariances(d)
-    scale = 2.0 / (v_m * v_m)
     return (scale * c_aq * c_aq, scale * c_ap * c_ap,
             scale * c_bq * c_bq, scale * c_bp * c_bp)
 

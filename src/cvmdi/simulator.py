@@ -12,10 +12,11 @@ the relay statistics only through the per-quadrature excess noise, so the
 lumped noise is sampled instead of a four-mode purification; every
 quantity the estimators touch is identical either way.
 
-Two samplers draw a block from the stream of its (seed, trial index):
+Two samplers draw blocks:
 
-- `sample_dataset` draws the records themselves, O(m) per block.  It is
-  the record-level reference, and it serves dataset dumps and protocol mode.
+- `sample_dataset` draws the records themselves, O(m) per block, from the
+  stream of its (seed, trial index).  It is the record-level reference,
+  and it serves dataset dumps and protocol mode.
 - `sample_moments` draws only the two moment matrices the estimators read,
   in O(1).  Each use's records are x = L z, with z = (z_a, z_b, z_n)
   standard normal and L the lower-triangular record map, so m G = L W L^T
@@ -23,16 +24,19 @@ Two samplers draw a block from the stream of its (seed, trial index):
   (Smith & Hocking, Appl. Stat. 21:341, 1972): A is lower triangular with
   A_ii^2 ~ chi^2(m - i) and standard normals below the diagonal.
 
-The two share the law of a block, not its draws: the same (seed, trial
-index) gives unrelated blocks in the two samplers.
+Moment draws come in stream blocks of B = _STREAM_BLOCK trials: block j draws
+the Bartlett factors of trials j B, ..., j B + B - 1 with one gamma and one
+normal call on its own stream, keyed by (seed, j) apart from the trial
+streams, and trial t is row t mod B of block t div B.  A trial's moments
+therefore depend on (seed, t) alone, not on the trials drawn with it, and
+the two samplers share the law of a block, not its draws.
 
 `run_trials` draws moments, so a trial costs the same at any block size.
-It works in chunks of trials: each trial still draws from its own stream,
-so its moments are bitwise those of `sample_moments`, and a chunk's
-estimates come from a few array expressions that follow the scalar
-estimators of `estimation` operation by operation, bitwise.  Means and
-variances are merged chunk by chunk, so memory stays bounded at any trial
-count.
+It works in chunks of whole stream blocks: a chunk's moments are bitwise
+those of `sample_moments`, and its estimates come from a few array
+expressions that follow the scalar estimators of `estimation` operation by
+operation, bitwise.  Means and variances are merged chunk by chunk, so
+memory stays bounded at any trial count.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ import numpy as np
 from .channel import ChannelParams, NoiseVars, noise_from_attack
 from .errors import DomainError, NumericalDegeneracyError
 from .estimation import (
-    _check_v_m,
     _MIN_TOTAL,
+    _transmissivity_scale,
     BlockMoments,
     DEFAULT_Z,
     excess_noise_variance,
@@ -57,6 +61,17 @@ from .estimation import (
 _SQRT_HALF = math.sqrt(0.5)
 _DIAGONAL = np.arange(3)
 _BELOW = np.tril_indices(3, -1)
+# Trials per moment stream; a private constant, not a knob, since changing
+# it changes every draw.
+_STREAM_BLOCK = 64
+# Leading spawn-key word of the moment streams, an arbitrary one ("mom" in
+# ASCII): block j's key (tag, j) is two words long, so no trial stream (t,)
+# with t < 2^32 shares it.
+_MOMENT_STREAM_TAG = 0x6D6F6D
+# Largest block size.  A block's statistics spread by about sqrt(2/m) of
+# their size, 1.4e-12 at m = 1e24, still 6e3 float64 ulps; beyond it rounding
+# takes over from sampling, and from m ~ 1e170 the chi-square sums overflow.
+_MAX_M = 10**24
 
 
 @dataclass(frozen=True)
@@ -73,8 +88,9 @@ class SimulationSpec:
         if not 0.0 <= self.v_m < math.inf:
             raise DomainError(f"v_m (modulation variance) must be finite and >= 0, "
                               f"got {self.v_m}")
-        if self.m < 2:
-            raise DomainError(f"samples per trial must be >= 2, got {self.m}")
+        if not 2 <= self.m <= _MAX_M:
+            raise DomainError(f"samples per trial must be >= 2 and <= {_MAX_M:.0e}, "
+                              f"got {self.m}")
         if self.trials < 1:
             raise DomainError(f"trial count must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -123,25 +139,36 @@ def _record_map(spec: SimulationSpec, noise: NoiseVars) -> np.ndarray:
     ])
 
 
+def _moment_generator(seed: int, block: int) -> np.random.Generator:
+    """PCG64 stream of one moment stream block."""
+    ss = np.random.SeedSequence(entropy=int(seed),
+                                spawn_key=(_MOMENT_STREAM_TAG, int(block)))
+    return np.random.default_rng(ss)
+
+
 def _draw_moments(spec: SimulationSpec, record_map: np.ndarray, first: int,
                   count: int) -> np.ndarray:
     """Moment matrices, shape (count, 2, 3, 3), of trials first, first + 1, ...
 
-    Each trial draws its Bartlett factors from its own stream, so a trial's
-    moments do not depend on the trials drawn with it.
+    Draws every stream block the range touches, whole, and keeps the
+    range's rows, so a trial's moments do not depend on the range.
     """
-    half_dof = (spec.m - _DIAGONAL) / 2.0
-    gammas = np.empty((count, 2, 3))
-    normals = np.empty((count, 2, 3))
-    for i in range(count):
-        rng = trial_generator(spec.seed, first + i)
+    first_block, offset = divmod(first, _STREAM_BLOCK)
+    blocks = (offset + count - 1) // _STREAM_BLOCK + 1
+    # m - i in Python integers, as m may pass the int64 range.
+    half_dof = np.array([(spec.m - i) / 2.0 for i in range(3)])
+    gammas = np.empty((blocks, _STREAM_BLOCK, 2, 3))
+    normals = np.empty((blocks, _STREAM_BLOCK, 2, 3))
+    for j in range(blocks):
+        rng = _moment_generator(spec.seed, first_block + j)
         # chi^2(k) as 2 Gamma(k/2), which is 0 at k = 0 (m = 2) where
         # Generator.chisquare raises.
-        rng.standard_gamma(half_dof, size=(2, 3), out=gammas[i])
-        rng.standard_normal(out=normals[i])
+        rng.standard_gamma(half_dof, out=gammas[j])
+        rng.standard_normal(out=normals[j])
+    rows = slice(offset, offset + count)
     bartlett = np.zeros((count, 2, 3, 3))
-    bartlett[..., _DIAGONAL, _DIAGONAL] = np.sqrt(2.0 * gammas)
-    bartlett[..., _BELOW[0], _BELOW[1]] = normals
+    bartlett[..., _DIAGONAL, _DIAGONAL] = np.sqrt(2.0 * gammas.reshape(-1, 2, 3)[rows])
+    bartlett[..., _BELOW[0], _BELOW[1]] = normals.reshape(-1, 2, 3)[rows]
     loaded = record_map @ bartlett
     return loaded @ loaded.transpose(0, 1, 3, 2) / spec.m
 
@@ -149,9 +176,8 @@ def _draw_moments(spec: SimulationSpec, record_map: np.ndarray, first: int,
 def sample_moments(spec: SimulationSpec, trial_index: int = 0) -> BlockMoments:
     """Draw one block's moment matrices in O(1), by Bartlett's decomposition.
 
-    The law is that of sample_dataset(spec, trial_index).moments; the draws
-    come from the same (seed, trial_index) stream but are not those of the
-    records, and no record is drawn.
+    The law is that of sample_dataset(spec, trial_index).moments, and the
+    draws are row trial_index of a campaign's moments; no record is drawn.
     """
     record_map = _record_map(spec, noise_from_attack(spec.channel))
     return BlockMoments(_draw_moments(spec, record_map, trial_index, 1)[0], spec.m)
@@ -326,7 +352,7 @@ def _tracked_values(moments: np.ndarray, m: int, v_m: float,
     operation by operation.  Their checks hold over the whole stack and
     raise the same exception types.
     """
-    _check_v_m(v_m)
+    scale = _transmissivity_scale(v_m)
     if m < 1:
         raise DomainError(f"sample count must be >= 1, got {m}")
     # The scalar estimators work in Python floats, which overflow to inf
@@ -336,7 +362,7 @@ def _tracked_values(moments: np.ndarray, m: int, v_m: float,
     with np.errstate(all="ignore"):
         covs = np.stack([moments[:, 0, 0, 2], moments[:, 1, 0, 2],
                          moments[:, 0, 1, 2], moments[:, 1, 1, 2]])
-        ta_q, ta_p, tb_q, tb_p = per_quad = 2.0 / (v_m * v_m) * covs * covs
+        ta_q, ta_p, tb_q, tb_p = per_quad = scale * covs * covs
         ta0 = 0.5 * (ta_q + ta_p)
         tb0 = 0.5 * (tb_q + tb_p)
         totals = _plugin_totals(_residual_powers(moments, ta0, tb0) - 1.0)
@@ -380,21 +406,23 @@ def _check_report(tau_a: np.ndarray, tau_b: np.ndarray, var_a: np.ndarray,
 
 
 # Trials drawn and estimated together; bounds run_trials' memory at any
-# trial count.
+# trial count.  A multiple of _STREAM_BLOCK, so no chunk draws a stream
+# block twice.
 _CHUNK = 1024
 
 
 def run_trials(spec: SimulationSpec) -> TrialStatistics:
     """Run the full estimation pipeline over many independent blocks.
 
-    Trials go in chunks of up to _CHUNK blocks: each trial draws its
-    block's moments as `sample_moments` does, from its own (seed, trial
-    index) stream, and a chunk's values come from `_tracked_values`.  Each
-    chunk is reduced to its mean and sum of squared deviations (two passes),
-    and chunks merge by the pairwise update of Chan, Golub & LeVeque (Am.
-    Stat. 37:242, 1983), which does not cancel, as sum(x^2) - n mean^2 does,
-    when the spread is tiny.  The chi-square statistic (normalized residual
-    sum at the true parameters) is tracked alongside the estimators as a
+    Trials go in chunks of up to _CHUNK blocks, a whole number of stream
+    blocks: trial t's moments are row t mod _STREAM_BLOCK of the stream
+    block t div _STREAM_BLOCK, bitwise what `sample_moments` draws, and a
+    chunk's values come from `_tracked_values`.  Each chunk is reduced to
+    its mean and sum of squared deviations (two passes), and chunks merge
+    by the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37:242,
+    1983), which does not cancel, as sum(x^2) - n mean^2 does, when the
+    spread is tiny.  The chi-square statistic (normalized residual sum at
+    the true parameters) is tracked alongside the estimators as a
     distributional cross-check.
     """
     channel = spec.channel

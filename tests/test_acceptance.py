@@ -36,6 +36,7 @@ from cvmdi import (
     tmsv_cm,
 )
 from cvmdi.cli import main as cli_main
+from conftest import excess_noise_bias
 
 FIG2A_CHANNEL = ChannelParams.two_mode_optimal(
     0.98, db_to_transmissivity(2.0), 1.01, 1.01)
@@ -94,9 +95,15 @@ def test_criterion_03_estimator_variance_oracle():
             empirical = stats.variances[key]
             assert empirical == pytest.approx(analytic, rel=0.10), \
                 f"{name}: var({key})"
-        for key in ("tau_a", "tau_b", "excess_q", "excess_p"):
+        # The plug-in excess-noise estimates carry a first-order bias of
+        # about 10/m here, 2 standard errors of the mean.
+        centres = {key: stats.expected[key] for key in ("tau_a", "tau_b")}
+        bias_q, bias_p = excess_noise_bias(channel, v_m, m)
+        centres["excess_q"] = stats.expected["excess_q"] + bias_q
+        centres["excess_p"] = stats.expected["excess_p"] + bias_p
+        for key, centre in centres.items():
             std_err = math.sqrt(stats.variances[key] / trials)
-            assert abs(stats.means[key] - stats.expected[key]) <= 3.0 * std_err, \
+            assert abs(stats.means[key] - centre) <= 3.0 * std_err, \
                 f"{name}: mean({key})"
         if name == "pure-loss":
             reference = stats

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -260,6 +261,14 @@ class TestSimulate:
         assert exit_info.value.code == 2
         assert "argument --m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", ["9223372036854775808", "1e19", "1e24"])
+    def test_block_sizes_past_int64_run(self, capsys, m):
+        assert run_cli("simulate", "--tau-b", "0.5", "--m", m, "--trials", "200") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["m"] == int(float(m))
+        assert all(math.isfinite(value) for value in
+                   (*payload["means"].values(), *payload["variances"].values()))
+
     def test_dataset_dump(self, tmp_path):
         out = tmp_path / "sim.json"
         dump = tmp_path / "trial0.csv"
@@ -325,6 +334,8 @@ class TestBadInput:
         (("simulate", "--tau-b", "0.5", "--m", "100", "--trials", "2",
           "--seed", "-1"), "seed"),
         (("optimize", "--mode", "protocol", "--n-bar", "1e4", "--seed", "-1"), "seed"),
+        (("simulate", "--tau-b", "0.5", "--m", "1e25", "--trials", "2"),
+         "samples per trial"),
     ])
     def test_invalid_number_exits_two_naming_it(self, capsys, argv, name):
         assert run_cli(*argv) == 2
@@ -335,3 +346,9 @@ class TestBadInput:
         assert run_cli("simulate", "--tau-b", "0.5", "--v-m", "1e300", "--m", "100",
                        "--trials", "2") == 3
         assert capsys.readouterr().err.startswith("error: excess-noise variance overflows")
+
+    def test_underflowing_modulation_square_exits_three(self, capsys):
+        # v_m = 1e-200 is positive, but v_m^2 underflows to 0
+        assert run_cli("simulate", "--tau-b", "0.5", "--v-m", "1e-200", "--m", "100",
+                       "--trials", "2") == 3
+        assert capsys.readouterr().err.startswith("error: modulation variance 1e-200 ")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ from cvmdi import (
 )
 from cvmdi import simulator
 from cvmdi.estimation import _residual_power
+from cvmdi.simulator import trial_generator
+from conftest import excess_noise_bias
 
 PURE_LOSS = ChannelParams.pure_loss(0.98, 0.5)
 ATTACKS = {
@@ -125,6 +128,9 @@ class TestSampleDataset:
             SimulationSpec(PURE_LOSS, 1.0, 1, 1, seed=0)
         with pytest.raises(DomainError):
             SimulationSpec(PURE_LOSS, 1.0, 100, 0, seed=0)
+        with pytest.raises(DomainError):
+            SimulationSpec(PURE_LOSS, 1.0, 10**24 + 1, 1, seed=0)
+        assert SimulationSpec(PURE_LOSS, 1.0, 10**24, 1, seed=0).m == 10**24
 
 
 class TestSampleMoments:
@@ -158,6 +164,60 @@ class TestSampleMoments:
         monkeypatch.setattr(simulator, "QuadratureDataset", refuse)
         stats = run_trials(SimulationSpec(PURE_LOSS, 10.0, 10**9, 3, seed=1))
         assert stats.means["chi2_q"] == pytest.approx(10**9, rel=1e-3)
+
+
+class TestDrawContract:
+    """Trial t's moments depend on (seed, t) alone: not on the campaign size,
+    the chunk size or where a drawn range starts."""
+
+    SPEC = SimulationSpec(ATTACKS["collective"], 10.0, 1000, trials=201, seed=17)
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        """Trials 0-200, each drawn on its own by sample_moments."""
+        return np.array([sample_moments(self.SPEC, t).moments
+                         for t in range(self.SPEC.trials)])
+
+    @pytest.mark.parametrize("chunk", [7, 64, 1024])
+    @pytest.mark.parametrize("trials", [1, 63, 64, 65, 200])
+    def test_campaign_rows(self, rows, monkeypatch, trials, chunk):
+        drawn = []
+        tracked = simulator._tracked_values
+
+        def keep(moments, *args):
+            drawn.append(moments)
+            return tracked(moments, *args)
+
+        monkeypatch.setattr(simulator, "_tracked_values", keep)
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        run_trials(dataclasses.replace(self.SPEC, trials=trials))
+        np.testing.assert_array_equal(np.concatenate(drawn), rows[:trials])
+
+    @pytest.mark.parametrize("first, count", [
+        (0, 201), (1, 63), (30, 70), (63, 1), (63, 2), (64, 1), (100, 101), (127, 74),
+    ])
+    def test_ranges_starting_mid_block(self, rows, first, count):
+        spec = self.SPEC
+        record_map = simulator._record_map(spec, noise_from_attack(spec.channel))
+        np.testing.assert_array_equal(
+            simulator._draw_moments(spec, record_map, first, count),
+            rows[first:first + count])
+
+    def test_sample_moments_is_its_campaign_row(self, rows):
+        # trials on both sides of the first two block boundaries
+        for t in (0, 62, 63, 64, 65, 127, 128):
+            np.testing.assert_array_equal(sample_moments(self.SPEC, t).moments, rows[t])
+
+    def test_rows_differ_across_trials_and_seeds(self, rows):
+        other = dataclasses.replace(self.SPEC, seed=self.SPEC.seed + 1)
+        assert len({row.tobytes() for row in rows}) == len(rows)
+        assert not np.array_equal(sample_moments(other, 0).moments, rows[0])
+
+    def test_moment_streams_are_not_record_streams(self):
+        for index in range(3):
+            moments = simulator._moment_generator(self.SPEC.seed, index)
+            records = trial_generator(self.SPEC.seed, index)
+            assert moments.bit_generator.state != records.bit_generator.state
 
 
 class TestRunTrials:
@@ -234,6 +294,41 @@ class TestRunTrials:
         assert a.variances == b.variances
 
 
+class TestExcessNoiseBias:
+    """conftest.excess_noise_bias against Monte Carlo.  The residual power at
+    the true transmissivities is unbiased and carries the estimate's
+    O(1/sqrt(m)) fluctuation, so subtracting it leaves the O(1/m) bias with
+    an O(1/m) spread."""
+
+    TRIALS = 20_000
+    UNEQUAL = ChannelParams(0.6, 0.3, 2.0, 2.0, corr_q=1.0, corr_p=0.0)
+
+    @pytest.mark.parametrize("channel, m", [
+        # far enough from tau = 1 that the [0, 1] clamp never acts
+        (ChannelParams.pure_loss(0.5, 0.3), 10**3),
+        (ChannelParams.pure_loss(0.5, 0.3), 10**4),
+        # unequal total noise: the q and p estimates get unequal weights
+        (UNEQUAL, 10**3),
+        (UNEQUAL, 10**4),
+        # acceptance criterion 03's block size
+        (PURE_LOSS, 10**5),
+        (ATTACKS["two-mode-optimal"], 10**5),
+    ])
+    def test_matches_monte_carlo(self, channel, m):
+        spec = SimulationSpec(channel, 10.0, m, self.TRIALS, seed=11)
+        noise = noise_from_attack(channel)
+        moments = simulator._draw_moments(spec, simulator._record_map(spec, noise),
+                                          0, self.TRIALS)
+        values = dict(zip(simulator._TRACKED, simulator._tracked_values(
+            moments, m, spec.v_m, channel, noise)))
+        for quad, total, bias in zip("qp", (noise.total_q, noise.total_p),
+                                     excess_noise_bias(channel, spec.v_m, m)):
+            # chi2 is m R / T with R the residual power at the true tau
+            diff = values[f"excess_{quad}"] - (values[f"chi2_{quad}"] * total / m - 1.0)
+            std_err = diff.std(ddof=1) / math.sqrt(self.TRIALS)
+            assert abs(diff.mean() - bias) < 4.0 * std_err, quad
+
+
 class TestBatchedValues:
     """run_trials' array expressions against the scalar estimators."""
 
@@ -281,6 +376,7 @@ class TestBatchedValues:
         pytest.param([(np.s_[:, 2, 2], -5.0)], 100, 10.0, None, id="plug-in-floor"),
         pytest.param([(np.s_[...], 0.0)], 100, 10.0, None, id="signal-free"),
         pytest.param([], 100, 0.0, ConfigurationError, id="zero-v_m"),
+        pytest.param([], 100, 1e-200, NumericalDegeneracyError, id="v_m-square-underflows"),
         pytest.param([], 0, 10.0, DomainError, id="zero-m"),
     ])
     def test_bad_blocks_raise_as_the_scalar_path(self, entries, m, v_m, error):
