@@ -11,7 +11,18 @@ transmissivities, upper excess noise.
 Every estimator depends on the records only through the mean products of
 (a, b, r) in q and in p, and reads a block as a `BlockMoments`: these two
 3x3 moment matrices and the block size.  A dataset reduces itself to them
-once, when it is built, and each estimator is an O(1) read of them.
+once, when it is built.
+
+One pipeline runs the estimators, over a stack of blocks' moments of
+shape (k, 2, 3, 3): each stage is a few array expressions whatever k is.
+The public estimators are its one-block case, and `simulator` runs it on
+whole chunks of Monte Carlo trials, so protocol mode and the campaigns
+estimate with the same code.  It runs under numpy's errstate(all="ignore"),
+overflowing to inf and making NaN as Python floats do, and its checks raise
+the same typed errors for a bad block wherever it sits in the stack.  The
+analytic variance formulas and `EstimationReport` stay scalar: analysis
+mode evaluates them once per rate point, where numpy calls would cost more
+than the arithmetic.
 """
 
 from __future__ import annotations
@@ -33,6 +44,8 @@ _FIELDS = ("a_q", "a_p", "b_q", "b_p", "r_q", "r_p")
 _MIN_TOTAL = 1e-12
 # Worst-case confidence multiplier: a one-sided Gaussian tail of 4.0e-11.
 DEFAULT_Z = 6.5
+# Sign of Alice's record in the relay residual, q then p.
+_ALICE_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +135,97 @@ def _transmissivity_scale(v_m: float) -> float:
     return scale
 
 
+def _covariances(moments: np.ndarray) -> np.ndarray:
+    """Modulation-relay mean products, shape (4, k): alice-q, alice-p,
+    bob-q, bob-p, of a stack of blocks' moments (k, 2, 3, 3)."""
+    return moments[:, :, :2, 2].transpose(2, 1, 0).reshape(4, -1)
+
+
+def _per_quadrature(covariances: np.ndarray, v_m: float) -> np.ndarray:
+    """Per-quadrature transmissivities 2 C^2 / v_m^2, shape (4, k)."""
+    return _transmissivity_scale(v_m) * covariances * covariances
+
+
+def _residual_powers(moments: np.ndarray, tau) -> np.ndarray:
+    """Mean squares, shape (2, k): q then p, of r - sqrt(tau_b/2) b -+
+    sqrt(tau_a/2) a, the relay record less its signal part, as w.G.w with
+    w = (+-sqrt(tau_a/2), -sqrt(tau_b/2), 1) and G the quadrature's moment
+    matrix.  tau = (tau_a, tau_b), clamped to [0, 1], holds one pair per
+    block or one for all."""
+    half_a, half_b = np.sqrt(np.minimum(np.maximum(tau, 0.0), 1.0) / 2.0)
+    w = np.ones((len(moments), 2, 1, 3))
+    w[:, :, 0, 0] = half_a[..., None] * _ALICE_SIGNS
+    w[:, :, 0, 1] = -half_b[..., None]
+    return ((w @ moments) @ w.transpose(0, 1, 3, 2))[:, :, 0, 0].T
+
+
+def _plugin_totals(excess: np.ndarray) -> np.ndarray:
+    """Total noise for the plug-in variance formulas, from excess-noise
+    estimates (2, k): NoiseVars' finiteness check, then pathological
+    below-shot-noise estimates floored instead of rejected."""
+    floored = np.maximum(excess, _MIN_TOTAL - 1.0)
+    if not np.isfinite(floored).all():
+        quad, block = np.argwhere(~np.isfinite(floored))[0]
+        raise DomainError(f"excess_{'qp'[quad]} must be finite, "
+                          f"got {floored[quad, block]}")
+    return 1.0 + floored
+
+
+def _transmissivity_variances(tau: np.ndarray, v_m: float, totals: np.ndarray,
+                              m: int) -> np.ndarray:
+    """transmissivity_variance's (q, p) variances, shape (2, 2, k), of both
+    links (a, then b) at transmissivities tau (2, k) and total noise (2, k)."""
+    weight = tau + 0.5 * tau[::-1]
+    base = 8.0 * tau * weight / m
+    variances = base[:, None] * (1.0 + totals / (weight[:, None] * v_m))
+    return np.where((tau == 0.0)[:, None], 0.0, variances)
+
+
+def _transmissivities(moments: np.ndarray, per_quad: np.ndarray, m: int,
+                      v_m: float) -> np.ndarray:
+    """Combined transmissivities (2, k) of links a and b, from the
+    per-quadrature ones (4, k), as estimate_transmissivities describes."""
+    if m < 1:
+        raise DomainError(f"sample count must be >= 1, got {m}")
+    est = per_quad.reshape(2, 2, -1)
+    tau0 = 0.5 * (est[:, 0] + est[:, 1])
+    totals = _plugin_totals(_residual_powers(moments, tau0) - 1.0)
+    var = _transmissivity_variances(tau0, v_m, totals, m)
+    den = var[:, 0] + var[:, 1]
+    return np.where(den == 0.0, tau0, (est[:, 0] * var[:, 1] + est[:, 1] * var[:, 0]) / den)
+
+
+@np.errstate(all="ignore")
+def _estimate(moments: np.ndarray, m: int, v_m: float):
+    """estimate_channel over a stack of blocks' moments (k, 2, 3, 3).
+
+    Returns the covariances and per-quadrature transmissivities (4, k each),
+    the combined transmissivities (2, k), the excess noise (2, k: q, p) and
+    the report's spreads (4, k: tau_a, tau_b, excess_q, excess_p).
+    """
+    covariances = _covariances(moments)
+    per_quad = _per_quadrature(covariances, v_m)
+    tau = _transmissivities(moments, per_quad, m, v_m)
+    excess = _residual_powers(moments, tau) - 1.0
+    totals = _plugin_totals(excess)
+    squares = totals ** 2
+    if not np.isfinite(squares).all():
+        block = np.argwhere(~np.isfinite(squares))[0][1]
+        raise NumericalDegeneracyError(
+            f"excess-noise variance overflows: total noise ({totals[0, block]:.6g}, "
+            f"{totals[1, block]:.6g}) is too large to square")
+    var = _transmissivity_variances(tau, v_m, totals, m)
+    tau_var = np.where(tau == 0.0, 0.0, var[:, 0] * var[:, 1] / (var[:, 0] + var[:, 1]))
+    spreads = np.sqrt(np.concatenate([tau_var, 2.0 * squares / m]))
+    # The estimates are finite by now, so EstimationReport's bounds are
+    # ordered at any z > 0 unless a spread is NaN: 0/0 or inf/inf in a
+    # combined variance.
+    if np.isnan(spreads).any():
+        raise DomainError("worst-case bounds must lie below the transmissivities "
+                          "and above the excess noise")
+    return covariances, per_quad, tau, excess, spreads
+
+
 def estimate_covariances(d: BlockMoments) -> tuple[float, float, float, float]:
     """Empirical mean products between modulation and relay records.
 
@@ -130,19 +234,17 @@ def estimate_covariances(d: BlockMoments) -> tuple[float, float, float, float]:
     alice-q covariance comes out negative; the transmissivity estimator
     squares it away.
     """
-    g_q, g_p = d.moments
-    return (float(g_q[0, 2]), float(g_p[0, 2]), float(g_q[1, 2]), float(g_p[1, 2]))
+    return tuple(_covariances(d.moments[None])[:, 0].tolist())
 
 
+@np.errstate(all="ignore")
 def transmissivities_per_quadrature(
         d: BlockMoments, v_m: float) -> tuple[float, float, float, float]:
     """Per-quadrature transmissivity estimates 2 C^2 / v_m^2 for both links."""
-    scale = _transmissivity_scale(v_m)
-    c_aq, c_ap, c_bq, c_bp = estimate_covariances(d)
-    return (scale * c_aq * c_aq, scale * c_ap * c_ap,
-            scale * c_bq * c_bq, scale * c_bp * c_bp)
+    return tuple(_per_quadrature(_covariances(d.moments[None]), v_m)[:, 0].tolist())
 
 
+@np.errstate(all="ignore")
 def estimate_transmissivities(d: BlockMoments, v_m: float) -> tuple[float, float]:
     """Combined transmissivity estimates for both links.
 
@@ -152,24 +254,12 @@ def estimate_transmissivities(d: BlockMoments, v_m: float) -> tuple[float, float
     residual-based noise estimate); they only deviate from 1/2 when the
     two quadratures see different noise.
     """
-    ta_q, ta_p, tb_q, tb_p = transmissivities_per_quadrature(d, v_m)
-    ta0 = 0.5 * (ta_q + ta_p)
-    tb0 = 0.5 * (tb_q + tb_p)
-    noise = _plugin_noise(*estimate_excess_noise(d, ta0, tb0))
-    tau_a = _combine(ta_q, ta_p, transmissivity_variance(ta0, tb0, v_m, noise, d.m))
-    tau_b = _combine(tb_q, tb_p, transmissivity_variance(tb0, ta0, v_m, noise, d.m))
-    return tau_a, tau_b
+    moments = d.moments[None]
+    per_quad = _per_quadrature(_covariances(moments), v_m)
+    return tuple(_transmissivities(moments, per_quad, d.m, v_m)[:, 0].tolist())
 
 
-def _combine(est_q: float, est_p: float,
-             variances: tuple[float, float, float]) -> float:
-    var_q, var_p, _ = variances
-    den = var_q + var_p
-    if den == 0.0:
-        return 0.5 * (est_q + est_p)
-    return (est_q * var_p + est_p * var_q) / den
-
-
+@np.errstate(all="ignore")
 def estimate_excess_noise(d: BlockMoments, tau_a_hat: float,
                           tau_b_hat: float) -> tuple[float, float]:
     """Residual-based excess-noise estimates for both quadratures.
@@ -179,21 +269,11 @@ def estimate_excess_noise(d: BlockMoments, tau_a_hat: float,
     negative; an exactly signal-free record bottoms out at -1, the
     residual-free floor left by the shot-noise subtraction.
     """
-    power_q, power_p = _residual_power(d, tau_a_hat, tau_b_hat)
-    return power_q - 1.0, power_p - 1.0
-
-
-def _residual_power(d: BlockMoments, tau_a: float,
-                    tau_b: float) -> tuple[float, float]:
-    """Mean squares (q, p) of r - sqrt(tau_b/2) b -+ sqrt(tau_a/2) a, the relay
-    record less its signal part, as w.G.w with w = (+-sqrt(tau_a/2),
-    -sqrt(tau_b/2), 1) and G the quadrature's moment matrix."""
-    half_a = math.sqrt(min(max(tau_a, 0.0), 1.0) / 2.0)
-    half_b = math.sqrt(min(max(tau_b, 0.0), 1.0) / 2.0)
-    g_q, g_p = d.moments
-    w_q = np.array([half_a, -half_b, 1.0])
-    w_p = np.array([-half_a, -half_b, 1.0])
-    return float(w_q @ g_q @ w_q), float(w_p @ g_p @ w_p)
+    for name, tau in (("tau_a_hat", tau_a_hat), ("tau_b_hat", tau_b_hat)):
+        if not math.isfinite(tau):
+            raise DomainError(f"{name} must be finite, got {tau}")
+    return tuple((_residual_powers(d.moments[None], (tau_a_hat, tau_b_hat))[:, 0]
+                  - 1.0).tolist())
 
 
 def transmissivity_variance(tau_a: float, tau_b: float, v_m: float,
@@ -273,28 +353,17 @@ class EstimationReport:
                               "and above the excess noise")
 
 
-def _plugin_noise(excess_q: float, excess_p: float) -> NoiseVars:
-    """NoiseVars for plug-in variance formulas, flooring pathological
-    below-shot-noise estimates instead of rejecting them."""
-    floor = _MIN_TOTAL - 1.0
-    return NoiseVars(max(excess_q, floor), max(excess_p, floor))
-
-
 def estimate_channel(d: BlockMoments, v_m: float, z: float = DEFAULT_Z) -> EstimationReport:
     """Full protocol-mode pipeline: estimates, plug-in spreads, bounds.
 
     The variance formulas are evaluated at the estimated parameters (the
     true ones are unknown at run time), which is asymptotically equivalent.
     """
-    tau_a, tau_b = estimate_transmissivities(d, v_m)
-    excess_q, excess_p = estimate_excess_noise(d, tau_a, tau_b)
-    noise = _plugin_noise(excess_q, excess_p)
-    _, _, var_a = transmissivity_variance(tau_a, tau_b, v_m, noise, d.m)
-    _, _, var_b = transmissivity_variance(tau_b, tau_a, v_m, noise, d.m)
-    s_q_sq, s_p_sq = excess_noise_variance(noise, d.m)
-    return EstimationReport(
-        tau_a, tau_b, math.sqrt(var_a), math.sqrt(var_b),
-        excess_q, excess_p, math.sqrt(s_q_sq), math.sqrt(s_p_sq), z=z)
+    _, _, tau, excess, spreads = _estimate(d.moments[None], d.m, v_m)
+    (tau_a, tau_b), (excess_q, excess_p) = tau[:, 0].tolist(), excess[:, 0].tolist()
+    std_a, std_b, std_q, std_p = spreads[:, 0].tolist()
+    return EstimationReport(tau_a, tau_b, std_a, std_b, excess_q, excess_p,
+                            std_q, std_p, z=z)
 
 
 def report_from_parameters(tau_a: float, tau_b: float, noise: NoiseVars,

@@ -33,10 +33,10 @@ the two samplers share the law of a block, not its draws.
 
 `run_trials` draws moments, so a trial costs the same at any block size.
 It works in chunks of whole stream blocks: a chunk's moments are bitwise
-those of `sample_moments`, and its estimates come from a few array
-expressions that follow the scalar estimators of `estimation` operation by
-operation, bitwise.  Means and variances are merged chunk by chunk, so
-memory stays bounded at any trial count.
+those of `sample_moments`, and `estimation` estimates the chunk as one
+stack, with the pipeline that estimates a single block in protocol mode.
+Means and variances are merged chunk by chunk, so memory stays bounded at
+any trial count.
 """
 
 from __future__ import annotations
@@ -47,12 +47,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelParams, NoiseVars, noise_from_attack
-from .errors import DomainError, NumericalDegeneracyError
+from .errors import DomainError
 from .estimation import (
-    _MIN_TOTAL,
-    _transmissivity_scale,
+    _estimate,
+    _residual_powers,
     BlockMoments,
-    DEFAULT_Z,
     excess_noise_variance,
     QuadratureDataset,
     transmissivity_variance,
@@ -297,112 +296,16 @@ def _build_comparisons(expected: dict[str, float], means: dict[str, float],
     return records
 
 
-def _residual_powers(moments: np.ndarray, tau_a, tau_b) -> np.ndarray:
-    """_residual_power of each block of a stack, shape (k, 2): q, then p.
-    tau_a and tau_b hold one value per block, or one for all."""
-    half_a = np.sqrt(np.minimum(np.maximum(tau_a, 0.0), 1.0) / 2.0)
-    half_b = np.sqrt(np.minimum(np.maximum(tau_b, 0.0), 1.0) / 2.0)
-    w = np.ones((len(moments), 2, 1, 3))
-    w[:, 0, 0, 0] = half_a
-    w[:, 1, 0, 0] = -half_a
-    w[:, :, 0, 1] = -half_b[..., None]
-    return ((w @ moments) @ w.transpose(0, 1, 3, 2))[:, :, 0, 0]
-
-
-def _plugin_totals(excess: np.ndarray) -> np.ndarray:
-    """Total noise of _plugin_noise for each row of excess (k, 2), after
-    NoiseVars' finiteness check; the floor keeps every total positive."""
-    floored = np.maximum(excess, _MIN_TOTAL - 1.0)
-    bad = np.argwhere(~np.isfinite(floored))
-    if len(bad):
-        block, quad = bad[0]
-        raise DomainError(f"excess_{'qp'[quad]} must be finite, "
-                          f"got {floored[block, quad]}")
-    return 1.0 + floored
-
-
-def _transmissivity_variances(tau: np.ndarray, other: np.ndarray, v_m: float,
-                              totals: np.ndarray, m: int):
-    """transmissivity_variance over a stack: (var_q, var_p, combined)."""
-    weight = tau + 0.5 * other
-    base = 8.0 * tau * weight / m
-    var_q = base * (1.0 + totals[:, 0] / (weight * v_m))
-    var_p = base * (1.0 + totals[:, 1] / (weight * v_m))
-    combined = var_q * var_p / (var_q + var_p)
-    signal_free = tau == 0.0
-    return (np.where(signal_free, 0.0, var_q), np.where(signal_free, 0.0, var_p),
-            np.where(signal_free, 0.0, combined))
-
-
-def _combine(est_q: np.ndarray, est_p: np.ndarray, var_q: np.ndarray,
-             var_p: np.ndarray) -> np.ndarray:
-    den = var_q + var_p
-    return np.where(den == 0.0, 0.5 * (est_q + est_p),
-                    (est_q * var_p + est_p * var_q) / den)
-
-
+@np.errstate(all="ignore")
 def _tracked_values(moments: np.ndarray, m: int, v_m: float,
                     channel: ChannelParams, noise: NoiseVars) -> np.ndarray:
     """The _TRACKED values, shape (14, k), of a stack of blocks' moments
-    (k, 2, 3, 3).
-
-    Column t is bitwise what the scalar estimators give for block t: each
-    array expression follows estimate_covariances,
-    transmissivities_per_quadrature, estimate_channel and _residual_power
-    operation by operation.  Their checks hold over the whole stack and
-    raise the same exception types.
-    """
-    scale = _transmissivity_scale(v_m)
-    if m < 1:
-        raise DomainError(f"sample count must be >= 1, got {m}")
-    # The scalar estimators work in Python floats, which overflow to inf
-    # and turn invalid operations into NaN without a warning, and np.where
-    # evaluates the branches the scalar code skips.  The checks below raise
-    # where the scalar code raises.
-    with np.errstate(all="ignore"):
-        covs = np.stack([moments[:, 0, 0, 2], moments[:, 1, 0, 2],
-                         moments[:, 0, 1, 2], moments[:, 1, 1, 2]])
-        ta_q, ta_p, tb_q, tb_p = per_quad = scale * covs * covs
-        ta0 = 0.5 * (ta_q + ta_p)
-        tb0 = 0.5 * (tb_q + tb_p)
-        totals = _plugin_totals(_residual_powers(moments, ta0, tb0) - 1.0)
-        tau_a = _combine(ta_q, ta_p,
-                         *_transmissivity_variances(ta0, tb0, v_m, totals, m)[:2])
-        tau_b = _combine(tb_q, tb_p,
-                         *_transmissivity_variances(tb0, ta0, v_m, totals, m)[:2])
-
-        excess = _residual_powers(moments, tau_a, tau_b) - 1.0
-        totals = _plugin_totals(excess)
-        squares = totals ** 2
-        if not np.isfinite(squares).all():
-            block = np.argwhere(~np.isfinite(squares))[0][0]
-            raise NumericalDegeneracyError(
-                f"excess-noise variance overflows: total noise ({totals[block, 0]:.6g}, "
-                f"{totals[block, 1]:.6g}) is too large to square")
-        _check_report(tau_a, tau_b,
-                      _transmissivity_variances(tau_a, tau_b, v_m, totals, m)[2],
-                      _transmissivity_variances(tau_b, tau_a, v_m, totals, m)[2],
-                      excess, 2.0 * squares / m)
-
-        true_power = _residual_powers(moments, channel.tau_a, channel.tau_b)
-        chi2 = m * true_power / np.array([noise.total_q, noise.total_p])
-    return np.vstack([tau_a, tau_b, per_quad, excess.T, covs, chi2.T])
-
-
-def _check_report(tau_a: np.ndarray, tau_b: np.ndarray, var_a: np.ndarray,
-                  var_b: np.ndarray, excess: np.ndarray, excess_var: np.ndarray) -> None:
-    """EstimationReport's checks at DEFAULT_Z, over a stack."""
-    variances = np.stack([var_a, var_b, *excess_var.T])
-    if (variances < 0.0).any():
-        raise DomainError("standard deviations must be >= 0")
-    std_a, std_b, *excess_std = DEFAULT_Z * np.sqrt(variances)
-    tau_a_low = np.minimum(np.maximum(tau_a - std_a, 0.0), 1.0)
-    tau_b_low = np.minimum(np.maximum(tau_b - std_b, 0.0), 1.0)
-    excess_up = excess + np.transpose(excess_std)
-    if not ((tau_a_low <= tau_a) & (tau_b_low <= tau_b)
-            & (excess_up >= excess).all(axis=1)).all():
-        raise DomainError("worst-case bounds must lie below the transmissivities "
-                          "and above the excess noise")
+    (k, 2, 3, 3): the estimators' values, then chi^2 at the true
+    transmissivities."""
+    covariances, per_quad, tau, excess, _ = _estimate(moments, m, v_m)
+    chi2 = m * _residual_powers(moments, (channel.tau_a, channel.tau_b)) \
+        / np.array([[noise.total_q], [noise.total_p]])
+    return np.vstack([tau, per_quad, excess, covariances, chi2])
 
 
 # Trials drawn and estimated together; bounds run_trials' memory at any

@@ -22,7 +22,7 @@ from cvmdi import (
     transmissivities_per_quadrature,
 )
 from cvmdi import simulator
-from cvmdi.estimation import _residual_power
+from cvmdi.estimation import _residual_powers
 from cvmdi.simulator import trial_generator
 from conftest import excess_noise_bias
 
@@ -49,12 +49,13 @@ def entry_statistics(blocks):
 
 
 def scalar_values(block, v_m, channel, noise):
-    """simulator._TRACKED values of one block from estimation's scalar
-    estimators.  chi^2 reads the residual power at the true transmissivities
-    from _residual_power, which estimate_excess_noise returns less 1; adding
-    the 1 back would round once for powers below 1/2."""
+    """simulator._TRACKED values of one block, estimated alone through the
+    public estimators.  chi^2 reads the residual power at the true
+    transmissivities from _residual_powers, which estimate_excess_noise
+    returns less 1; adding the 1 back would round once for powers below 1/2."""
     report = estimate_channel(block, v_m)
-    power_q, power_p = _residual_power(block, channel.tau_a, channel.tau_b)
+    power_q, power_p = _residual_powers(block.moments[None],
+                                        (channel.tau_a, channel.tau_b))[:, 0]
     return (report.tau_a, report.tau_b, *transmissivities_per_quadrature(block, v_m),
             report.excess_q, report.excess_p, *estimate_covariances(block),
             block.m * power_q / noise.total_q, block.m * power_p / noise.total_p)
