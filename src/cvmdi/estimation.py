@@ -13,16 +13,14 @@ Every estimator depends on the records only through the mean products of
 3x3 moment matrices and the block size.  A dataset reduces itself to them
 once, when it is built.
 
-One pipeline runs the estimators, over a stack of blocks' moments of
-shape (k, 2, 3, 3): each stage is a few array expressions whatever k is.
-The public estimators are its one-block case, and `simulator` runs it on
-whole chunks of Monte Carlo trials, so protocol mode and the campaigns
-estimate with the same code.  It runs under numpy's errstate(all="ignore"),
-overflowing to inf and making NaN as Python floats do, and its checks raise
-the same typed errors for a bad block wherever it sits in the stack.  The
-analytic variance formulas and `EstimationReport` stay scalar: analysis
-mode evaluates them once per rate point, where numpy calls would cost more
-than the arithmetic.
+One pipeline estimates a stack of blocks' moments, shape (k, 2, 3, 3), in
+a few array expressions per stage.  The public estimators are its k = 1
+case and `simulator` runs it on chunks of trials.  It runs under
+errstate(all="ignore"), overflowing to inf as Python floats do, and raises
+the same typed error for a bad block wherever it sits.  The analytic
+variance formulas and `EstimationReport` stay scalar: analysis mode
+evaluates them once per rate point, where numpy calls cost more than the
+arithmetic.
 """
 
 from __future__ import annotations
@@ -181,10 +179,12 @@ def _transmissivity_variances(tau: np.ndarray, v_m: float, totals: np.ndarray,
     return np.where((tau == 0.0)[:, None], 0.0, variances)
 
 
-def _transmissivities(moments: np.ndarray, per_quad: np.ndarray, m: int,
-                      v_m: float) -> np.ndarray:
-    """Combined transmissivities (2, k) of links a and b, from the
-    per-quadrature ones (4, k), as estimate_transmissivities describes."""
+def _transmissivities(moments: np.ndarray, m: int, v_m: float):
+    """The covariances and per-quadrature transmissivities (4, k each) of a
+    stack of blocks, and tau_a and tau_b (2, k), combined as
+    estimate_transmissivities describes."""
+    covariances = _covariances(moments)
+    per_quad = _per_quadrature(covariances, v_m)
     if m < 1:
         raise DomainError(f"sample count must be >= 1, got {m}")
     est = per_quad.reshape(2, 2, -1)
@@ -192,20 +192,16 @@ def _transmissivities(moments: np.ndarray, per_quad: np.ndarray, m: int,
     totals = _plugin_totals(_residual_powers(moments, tau0) - 1.0)
     var = _transmissivity_variances(tau0, v_m, totals, m)
     den = var[:, 0] + var[:, 1]
-    return np.where(den == 0.0, tau0, (est[:, 0] * var[:, 1] + est[:, 1] * var[:, 0]) / den)
+    return covariances, per_quad, np.where(
+        den == 0.0, tau0, (est[:, 0] * var[:, 1] + est[:, 1] * var[:, 0]) / den)
 
 
 @np.errstate(all="ignore")
 def _estimate(moments: np.ndarray, m: int, v_m: float):
-    """estimate_channel over a stack of blocks' moments (k, 2, 3, 3).
-
-    Returns the covariances and per-quadrature transmissivities (4, k each),
-    the combined transmissivities (2, k), the excess noise (2, k: q, p) and
-    the report's spreads (4, k: tau_a, tau_b, excess_q, excess_p).
-    """
-    covariances = _covariances(moments)
-    per_quad = _per_quadrature(covariances, v_m)
-    tau = _transmissivities(moments, per_quad, m, v_m)
+    """estimate_channel over a stack of blocks' moments (k, 2, 3, 3): the
+    covariances and per-quadrature transmissivities (4, k each), tau_a and
+    tau_b (2, k), excess_q and excess_p (2, k) and the spreads of all four."""
+    covariances, per_quad, tau = _transmissivities(moments, m, v_m)
     excess = _residual_powers(moments, tau) - 1.0
     totals = _plugin_totals(excess)
     squares = totals ** 2
@@ -217,9 +213,8 @@ def _estimate(moments: np.ndarray, m: int, v_m: float):
     var = _transmissivity_variances(tau, v_m, totals, m)
     tau_var = np.where(tau == 0.0, 0.0, var[:, 0] * var[:, 1] / (var[:, 0] + var[:, 1]))
     spreads = np.sqrt(np.concatenate([tau_var, 2.0 * squares / m]))
-    # The estimates are finite by now, so EstimationReport's bounds are
-    # ordered at any z > 0 unless a spread is NaN: 0/0 or inf/inf in a
-    # combined variance.
+    # With finite estimates, EstimationReport's bounds are out of order at
+    # z > 0 only for a NaN spread: 0/0 or inf/inf in a combined variance.
     if np.isnan(spreads).any():
         raise DomainError("worst-case bounds must lie below the transmissivities "
                           "and above the excess noise")
@@ -254,9 +249,7 @@ def estimate_transmissivities(d: BlockMoments, v_m: float) -> tuple[float, float
     residual-based noise estimate); they only deviate from 1/2 when the
     two quadratures see different noise.
     """
-    moments = d.moments[None]
-    per_quad = _per_quadrature(_covariances(moments), v_m)
-    return tuple(_transmissivities(moments, per_quad, d.m, v_m)[:, 0].tolist())
+    return tuple(_transmissivities(d.moments[None], d.m, v_m)[2][:, 0].tolist())
 
 
 @np.errstate(all="ignore")

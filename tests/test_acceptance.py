@@ -36,7 +36,7 @@ from cvmdi import (
     tmsv_cm,
 )
 from cvmdi.cli import main as cli_main
-from conftest import excess_noise_bias
+from cvmdi.simulator import excess_noise_bias
 
 FIG2A_CHANNEL = ChannelParams.two_mode_optimal(
     0.98, db_to_transmissivity(2.0), 1.01, 1.01)

@@ -254,6 +254,17 @@ class TestSimulate:
         assert payload["m"] == payload["config"]["m"] == 10**9
         assert payload["all_pass"] is True
 
+    def test_default_verdict_allows_for_the_excess_noise_bias(self, capsys):
+        # Uncorrected, the ~10/m bias of the excess-noise estimates is ~2
+        # standard errors at the defaults, and 12 of these 40 records failed.
+        failed = []
+        for seed in range(1, 21):
+            assert run_cli("simulate", "--bob-db", "2", "--seed", str(seed)) == 0
+            payload = json.loads(capsys.readouterr().out)
+            failed += [(seed, c["name"]) for c in payload["comparisons"]
+                       if c["name"].startswith("mean(excess_") and not c["pass"]]
+        assert len(failed) <= 1, failed
+
     @pytest.mark.parametrize("m", ["1.5", "1e9.5", "inf", "nan", "many"])
     def test_non_integral_block_size_exits_two(self, capsys, m):
         with pytest.raises(SystemExit) as exit_info:

@@ -263,6 +263,18 @@ class TestEstimateExcessNoise:
         eq, ep = estimate_excess_noise(d, -0.3, 0.5)  # clamps to tau_a = 0
         assert math.isfinite(eq) and math.isfinite(ep)
 
+    @pytest.mark.parametrize("taus, name", [
+        ((math.nan, 0.5), "tau_a_hat"),
+        ((math.inf, 0.5), "tau_a_hat"),
+        ((0.5, -math.inf), "tau_b_hat"),
+        ((0.5, math.nan), "tau_b_hat"),
+    ])
+    def test_non_finite_transmissivity_rejected_by_name(self, rng, taus, name):
+        # the clamp to [0, 1] would pass a NaN through as a NaN estimate
+        d = make_dataset(rng, 64, 0.5, 0.5, 4.0)
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            estimate_excess_noise(d, *taus)
+
 
 class TestTransmissivityVariance:
     def test_zero_transmissivity(self):
@@ -337,9 +349,14 @@ class TestWorstCase:
                                          0.001, 0.002, z=10.0)
 
     @pytest.mark.parametrize("z", [-1.0, math.inf, math.nan])
-    def test_bad_z_rejected_by_name(self, z):
-        with pytest.raises(DomainError, match="z \\(confidence multiplier\\)"):
+    def test_bad_z_rejected_by_name(self, z, rng):
+        by_name = "z \\(confidence multiplier\\)"
+        with pytest.raises(DomainError, match=by_name):
             EstimationReport(0.5, 0.5, 0.01, 0.01, 0.0, 0.0, 0.001, 0.001, z=z)
+        # the estimation pipeline checks its own bounds before the report's
+        d = make_dataset(rng, 1000, 0.9, 0.5, 10.0)
+        with pytest.raises(DomainError, match=by_name):
+            estimate_channel(d, 10.0, z=z)
 
 
 class TestPipelines:

@@ -12,6 +12,8 @@ from cvmdi import (
     DomainError,
     estimate_channel,
     estimate_covariances,
+    estimate_excess_noise,
+    estimate_transmissivities,
     NoiseVars,
     noise_from_attack,
     NumericalDegeneracyError,
@@ -21,10 +23,9 @@ from cvmdi import (
     SimulationSpec,
     transmissivities_per_quadrature,
 )
-from cvmdi import simulator
+from cvmdi import estimation, simulator
 from cvmdi.estimation import _residual_powers
-from cvmdi.simulator import trial_generator
-from conftest import excess_noise_bias
+from cvmdi.simulator import excess_noise_bias, trial_generator
 
 PURE_LOSS = ChannelParams.pure_loss(0.98, 0.5)
 ATTACKS = {
@@ -263,6 +264,19 @@ class TestRunTrials:
         kinds = {c["kind"] for c in stats.comparisons}
         assert kinds == {"relative", "z"}
 
+    def test_excess_means_are_scored_about_the_bias(self):
+        spec = SimulationSpec(ATTACKS["collective"], 10.0, 1000, 50, seed=2)
+        stats = run_trials(spec)
+        biased = {c["name"]: c for c in stats.comparisons if "bias" in c}
+        assert sorted(biased) == ["mean(excess_p)", "mean(excess_q)"]
+        for quad, bias in zip("qp", excess_noise_bias(spec.channel, spec.v_m, spec.m)):
+            record = biased[f"mean(excess_{quad})"]
+            # analytic stays the true value; the bias only moves the centre
+            assert record["analytic"] == stats.expected[f"excess_{quad}"]
+            assert record["bias"] == bias
+            assert record["z_score"] == pytest.approx(
+                (record["empirical"] - record["analytic"] - bias) / record["std_error"])
+
     @pytest.mark.parametrize("m", [10**14, 10**16])
     def test_variances_do_not_cancel_at_large_blocks(self, m):
         # At large m the per-trial spread is tiny next to the mean, where
@@ -296,7 +310,7 @@ class TestRunTrials:
 
 
 class TestExcessNoiseBias:
-    """conftest.excess_noise_bias against Monte Carlo.  The residual power at
+    """simulator.excess_noise_bias against Monte Carlo.  The residual power at
     the true transmissivities is unbiased and carries the estimate's
     O(1/sqrt(m)) fluctuation, so subtracting it leaves the O(1/m) bias with
     an O(1/m) spread."""
@@ -331,7 +345,12 @@ class TestExcessNoiseBias:
 
 
 class TestBatchedValues:
-    """run_trials' array expressions against the scalar estimators."""
+    """The stacking contract.  estimation runs one pipeline over stacks of
+    blocks, and the public estimators are its one-block case: a block's
+    estimates inside a stack are bitwise those of the block estimated alone,
+    and a bad block raises the same error type wherever it sits.
+    TestMomentsAgainstRecords, in test_estimation, checks the pipeline
+    itself against passes over the records."""
 
     @pytest.mark.parametrize("m", [2, 7, 10**5, 10**16])
     @pytest.mark.parametrize("attack", sorted(ATTACKS))
@@ -341,11 +360,22 @@ class TestBatchedValues:
         noise = noise_from_attack(channel)
         moments = simulator._draw_moments(spec, simulator._record_map(spec, noise),
                                           0, spec.trials)
-        for t in range(spec.trials):
-            np.testing.assert_array_equal(moments[t], sample_moments(spec, t).moments)
+        blocks = [sample_moments(spec, t) for t in range(spec.trials)]
+        for t, block in enumerate(blocks):
+            np.testing.assert_array_equal(moments[t], block.moments)
         np.testing.assert_array_equal(
             simulator._tracked_values(moments, m, spec.v_m, channel, noise).T,
-            scalar_campaign(spec))
+            [scalar_values(block, spec.v_m, channel, noise) for block in blocks])
+        alone = []
+        for block in blocks:
+            report = estimate_channel(block, spec.v_m)
+            tau = estimate_transmissivities(block, spec.v_m)
+            assert tau == (report.tau_a, report.tau_b)
+            assert estimate_excess_noise(block, *tau) == (report.excess_q, report.excess_p)
+            alone.append((report.tau_a_std, report.tau_b_std,
+                          report.excess_q_std, report.excess_p_std))
+        np.testing.assert_array_equal(estimation._estimate(moments, m, spec.v_m)[-1].T,
+                                      alone)
 
     def test_chunks_merge_to_the_campaign_statistics(self, monkeypatch):
         monkeypatch.setattr(simulator, "_CHUNK", 7)
@@ -374,6 +404,9 @@ class TestBatchedValues:
                      DomainError, id="transmissivity-overflow"),
         pytest.param([(np.s_[:, 2, 2], 1e300)], 100, 10.0, NumericalDegeneracyError,
                      id="excess-variance-overflow"),
+        # a subnormal transmissivity whose variances underflow: 0/0 spreads
+        pytest.param([(np.s_[:, 0, 2], 1e-158), (np.s_[:, 2, 0], 1e-158)], 10**16, 10.0,
+                     DomainError, id="nan-spread"),
         pytest.param([(np.s_[:, 2, 2], -5.0)], 100, 10.0, None, id="plug-in-floor"),
         pytest.param([(np.s_[...], 0.0)], 100, 10.0, None, id="signal-free"),
         pytest.param([], 100, 0.0, ConfigurationError, id="zero-v_m"),
@@ -381,6 +414,8 @@ class TestBatchedValues:
         pytest.param([], 0, 10.0, DomainError, id="zero-m"),
     ])
     def test_bad_blocks_raise_as_the_scalar_path(self, entries, m, v_m, error):
+        """Row 1 of 3 spoilt: the stack raises what estimate_channel raises
+        for that block alone, or both give the same values."""
         spec = SimulationSpec(ATTACKS["collective"], 10.0, 100, trials=3, seed=1)
         noise = noise_from_attack(spec.channel)
         stack = np.array([sample_moments(spec, t).moments for t in range(3)])
