@@ -11,7 +11,7 @@ transmissivities, upper excess noise.
 Every estimator depends on the records only through the mean products of
 (a, b, r) in q and in p, and reads a block as a `BlockMoments`: these two
 3x3 moment matrices and the block size.  A dataset reduces itself to them
-once, when it is built.
+once, when it is built, and each estimator is an O(1) read of them.
 
 One pipeline estimates a stack of blocks' moments, shape (k, 2, 3, 3), in
 a few array expressions per stage.  The public estimators are its k = 1
