@@ -10,6 +10,7 @@ physicality errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -25,9 +26,9 @@ from .errors import (
     NumericalDegeneracyError,
     PhysicalityError,
 )
-from .estimation import DEFAULT_Z, report_from_parameters
+from .estimation import report_from_parameters
 from .finite_size import finite_size_rate, FiniteSizeParams
-from .keyrate import key_rate_breakdown, ProtocolParams
+from .keyrate import key_rate_breakdown, ProtocolParams, RateBreakdown
 from .optimizer import (
     default_r_grid,
     default_v_m_grid,
@@ -39,7 +40,7 @@ from .simulator import run_trials, sample_dataset, SimulationSpec
 
 ATTACKS = ("pure-loss", "collective", "two-mode-optimal")
 
-_EPS_PA_NOTE = "eps_pa defaults to 1e-10; override with --eps-pa"
+_EPS_PA_NOTE = f"eps_pa defaults to {OptimizationSpec.eps_pa:g}; override with --eps-pa"
 
 
 def _json_default(obj):
@@ -77,6 +78,15 @@ def _csv_payload(config: dict, header: list[str], rows: list[tuple]) -> str:
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def _write_table(args, config: dict, header: list[str], rows: list[tuple]) -> None:
+    if args.format == "json":
+        text = _json_payload({"config": config, "columns": header,
+                              "rows": [list(r) for r in rows]})
+    else:
+        text = _csv_payload(config, header, rows)
+    _write_output(args.out, text)
 
 
 def _parse_axis(text: str, name: str) -> list[float]:
@@ -127,6 +137,18 @@ def _parse_n_bars(text: str) -> list[int]:
     return values
 
 
+def _single_n_bar(args) -> int:
+    n_bars = _parse_n_bars(args.n_bar)
+    if len(n_bars) != 1:
+        raise ConfigurationError(f"{args.command} expects a single --n-bar value")
+    return n_bars[0]
+
+
+def _axis_text(grid: tuple[float, ...]) -> str:
+    """The start:stop:points text that parses back to grid."""
+    return f"{grid[0]:g}:{grid[-1]:g}:{len(grid)}"
+
+
 def _short_number(x: float) -> str:
     return f"{x:g}".replace("e+0", "e").replace("e+", "e").replace("e-0", "e-")
 
@@ -142,30 +164,25 @@ def _channel_for(args, tau_a: float, tau_b: float) -> ChannelParams:
     return ChannelParams.two_mode_optimal(tau_a, tau_b, omega_a, omega_b)
 
 
-def _single_tau_b(args) -> float:
-    if getattr(args, "tau_b", None) is not None:
-        if not 0.0 <= args.tau_b <= 1.0:
-            raise ConfigurationError(f"tau-b must lie in [0, 1], got {args.tau_b}")
-        return args.tau_b
-    if args.bob_db is None:
-        raise ConfigurationError("this command needs --bob-db or --tau-b")
-    values = _parse_axis(args.bob_db, "bob-db")
-    if len(values) != 1:
-        raise ConfigurationError("this command expects a single --bob-db value")
-    return db_to_transmissivity(values[0])
+def _single_channel(args) -> ChannelParams:
+    """The channel with Bob's link at --tau-b or at a single --bob-db value."""
+    tau_b = args.tau_b
+    if tau_b is None:
+        if args.bob_db is None:
+            raise ConfigurationError("this command needs --bob-db or --tau-b")
+        values = _parse_axis(args.bob_db, "bob-db")
+        if len(values) != 1:
+            raise ConfigurationError("this command expects a single --bob-db value")
+        tau_b = db_to_transmissivity(values[0])
+    return _channel_for(args, args.tau_a, tau_b)
 
 
-def _config_dict(args, command: str, **extra) -> dict:
+def _config_dict(args) -> dict:
     # IO destinations are not part of the computation, so payloads stay
     # byte-identical wherever they are written.
     skip = {"func", "out", "trace_out", "dump_dataset"}
-    config = {"command": command}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        config[key.replace("_", "-")] = value
-    config.update(extra)
-    return config
+    return {key.replace("_", "-"): value
+            for key, value in vars(args).items() if key not in skip}
 
 
 def _finite_spec(args, channel: ChannelParams, n_bar: int, v_m: float | None = None,
@@ -187,32 +204,31 @@ def _finite_spec(args, channel: ChannelParams, n_bar: int, v_m: float | None = N
     )
 
 
-def cmd_rate(args) -> int:
-    tau_b = _single_tau_b(args)
-    channel = _channel_for(args, args.tau_a, tau_b)
-    noise = noise_from_attack(channel)
-    config = _config_dict(args, "rate")
-
-    if args.v_m is not None:
-        v_m_star = args.v_m
-    else:
-        v_m_star, _, _ = optimize_asymptotic(
+def _asymptotic(args, channel: ChannelParams) -> tuple[float, RateBreakdown]:
+    """(v_m, rate breakdown) at --v-m, or at the v_m that maximizes K_inf."""
+    v_m = args.v_m
+    if v_m is None:
+        v_m, _, _ = optimize_asymptotic(
             channel, args.xi, tuple(_parse_log_axis(args.v_m_grid, "v-m")),
             args.refinement_rounds)
-    asym = key_rate_breakdown(ProtocolParams(v_m_star, args.xi),
-                              channel.tau_a, channel.tau_b, noise)
+    return v_m, key_rate_breakdown(ProtocolParams(v_m, args.xi), channel.tau_a,
+                                   channel.tau_b, noise_from_attack(channel))
+
+
+def cmd_rate(args) -> int:
+    channel = _single_channel(args)
+    noise = noise_from_attack(channel)
+    config = _config_dict(args)
+    v_m_star, asym = _asymptotic(args, channel)
 
     finite = None
     no_positive = asym.k_infinity <= 0.0
     if args.n_bar is not None:
-        n_bars = _parse_n_bars(args.n_bar)
-        if len(n_bars) != 1:
-            raise ConfigurationError("rate expects a single --n-bar value")
-        result = optimize_key_rate(_finite_spec(args, channel, n_bars[0]))
-        fs = FiniteSizeParams.from_ratio(n_bars[0], result.ratio,
-                                         eps_pa=args.eps_pa, z=args.z)
+        n_bar = _single_n_bar(args)
+        result = optimize_key_rate(_finite_spec(args, channel, n_bar))
+        fs = FiniteSizeParams.from_ratio(n_bar, result.ratio, eps_pa=args.eps_pa)
         report = report_from_parameters(channel.tau_a, channel.tau_b, noise,
-                                        result.v_m, fs.m, z=fs.z)
+                                        result.v_m, fs.m, z=args.z)
         rate = finite_size_rate(ProtocolParams(result.v_m, args.xi), report, fs,
                                 args.delta_prefactor)
         finite = {
@@ -231,16 +247,8 @@ def cmd_rate(args) -> int:
     payload = {
         "config": config,
         "assumptions": {"eps_pa": _EPS_PA_NOTE},
-        "channel": {
-            "tau_a": channel.tau_a, "tau_b": channel.tau_b,
-            "omega_a": channel.omega_a, "omega_b": channel.omega_b,
-            "corr_q": channel.corr_q, "corr_p": channel.corr_p,
-            "excess_q": noise.excess_q, "excess_p": noise.excess_p,
-        },
-        "asymptotic": {
-            "v_m": v_m_star, "i_ab": asym.i_ab, "i_h": asym.i_h,
-            "k_infinity": asym.k_infinity,
-        },
+        "channel": {**dataclasses.asdict(channel), **vars(noise)},
+        "asymptotic": {"v_m": v_m_star, **vars(asym)},
         "finite_size": finite,
         "no_positive_rate": no_positive,
     }
@@ -255,79 +263,41 @@ def cmd_sweep(args) -> int:
     else:
         db_values = _parse_axis(args.bob_db, "bob-db")
         symmetric = False
-    if not db_values:
-        raise ConfigurationError("sweep grid is empty")
     n_bars = _parse_n_bars(args.n_bar)
-    config = _config_dict(args, "sweep")
+    config = _config_dict(args)
 
     header = ["attenuation_db", "k_asymptotic"]
     header += [f"k_N{_short_number(n)}" for n in n_bars]
     header += ["v_m_star", "r_star", "k_asymptotic_clipped"]
     header += [f"k_N{_short_number(n)}_clipped" for n in n_bars]
 
-    v_m_grid = tuple(_parse_log_axis(args.v_m_grid, "v-m"))
     rows = []
     for db in db_values:
         tau = db_to_transmissivity(db)
         channel = _channel_for(args, tau if symmetric else args.tau_a, tau)
-        if args.v_m is not None:
-            noise = noise_from_attack(channel)
-            k_asym = key_rate_breakdown(ProtocolParams(args.v_m, args.xi),
-                                        channel.tau_a, channel.tau_b,
-                                        noise).k_infinity
-        else:
-            _, k_asym, _ = optimize_asymptotic(channel, args.xi, v_m_grid,
-                                               args.refinement_rounds)
-        finite_rates = []
-        v_m_star = args.v_m if args.v_m is not None else float("nan")
-        r_star = args.ratio if args.ratio is not None else float("nan")
-        for index, n_bar in enumerate(n_bars):
-            result = optimize_key_rate(_finite_spec(args, channel, n_bar))
-            finite_rates.append(result.rate)
-            if index == 0:
-                # v_m_star / r_star columns describe the first --n-bar entry
-                v_m_star, r_star = result.v_m, result.ratio
-        row = [db, k_asym, *finite_rates, v_m_star, r_star,
-               max(k_asym, 0.0), *(max(k, 0.0) for k in finite_rates)]
-        rows.append(tuple(row))
-
-    if args.format == "json":
-        payload = {"config": config, "columns": header,
-                   "rows": [list(r) for r in rows]}
-        _write_output(args.out, _json_payload(payload))
-    else:
-        _write_output(args.out, _csv_payload(config, header, rows))
+        k_asym = _asymptotic(args, channel)[1].k_infinity
+        results = [optimize_key_rate(_finite_spec(args, channel, n_bar))
+                   for n_bar in n_bars]
+        finite_rates = [result.rate for result in results]
+        # v_m_star / r_star columns describe the first --n-bar entry
+        rows.append((db, k_asym, *finite_rates, results[0].v_m, results[0].ratio,
+                     max(k_asym, 0.0), *(max(k, 0.0) for k in finite_rates)))
+    _write_table(args, config, header, rows)
     return 0
 
 
 def cmd_modscan(args) -> int:
-    tau_b = _single_tau_b(args)
-    channel = _channel_for(args, args.tau_a, tau_b)
+    channel = _single_channel(args)
     v_m_values = _parse_log_axis(args.v_m_grid, "v-m")
-    config = _config_dict(args, "modscan")
-    n_bars = _parse_n_bars(args.n_bar)
-    if len(n_bars) != 1:
-        raise ConfigurationError("modscan expects a single --n-bar value")
-    n_bar = n_bars[0]
-
-    if args.optimize_ratio and args.ratio is not None:
-        raise ConfigurationError(
-            "--ratio pins the key fraction; it cannot be combined with --optimize-ratio")
+    config = _config_dict(args)
+    n_bar = _single_n_bar(args)
     if args.v_m is not None:
         raise ConfigurationError(
             "modscan scans v_m over --v-m-grid; give a single point there, not --v-m")
 
-    rows = []
-    for v_m in v_m_values:
-        rate = optimize_key_rate(_finite_spec(args, channel, n_bar, v_m=v_m)).rate
-        rows.append((v_m, rate))
-
-    if args.format == "json":
-        payload = {"config": config, "columns": ["v_m", "rate"],
-                   "rows": [list(r) for r in rows]}
-        _write_output(args.out, _json_payload(payload))
-    else:
-        _write_output(args.out, _csv_payload(config, ["v_m", "rate"], rows))
+    rows = [(v_m, optimize_key_rate(_finite_spec(args, channel, n_bar, v_m=v_m)).rate)
+            for v_m in v_m_values]
+    _write_table(args, config, ["v_m", "rate"], rows)
     return 0
 
 
@@ -335,10 +305,9 @@ def cmd_simulate(args) -> int:
     if not 0.0 <= args.tolerance < math.inf:
         raise ConfigurationError(
             f"tolerance must be finite and >= 0, got {args.tolerance}")
-    tau_b = _single_tau_b(args)
-    channel = _channel_for(args, args.tau_a, tau_b)
-    spec = SimulationSpec(channel=channel, v_m=args.v_m if args.v_m is not None else 10.0,
-                          m=args.m, trials=args.trials, seed=args.seed)
+    channel = _single_channel(args)
+    spec = SimulationSpec(channel=channel, v_m=args.v_m, m=args.m,
+                          trials=args.trials, seed=args.seed)
     stats = run_trials(spec)
     if args.dump_dataset is not None:
         sample_dataset(spec, 0).to_csv(args.dump_dataset)
@@ -362,20 +331,16 @@ def cmd_simulate(args) -> int:
     payload["comparisons"] = comparisons
     payload["all_pass"] = all_pass
     payload["tolerance"] = args.tolerance
-    payload["config"] = _config_dict(args, "simulate")
+    payload["config"] = _config_dict(args)
     _write_output(args.out, _json_payload(payload))
     return 0
 
 
 def cmd_optimize(args) -> int:
-    tau_b = _single_tau_b(args)
-    channel = _channel_for(args, args.tau_a, tau_b)
-    n_bars = _parse_n_bars(args.n_bar)
-    if len(n_bars) != 1:
-        raise ConfigurationError("optimize expects a single --n-bar value")
-    result = optimize_key_rate(_finite_spec(args, channel, n_bars[0],
+    channel = _single_channel(args)
+    result = optimize_key_rate(_finite_spec(args, channel, _single_n_bar(args),
                                             mode=args.mode, seed=args.seed))
-    config = _config_dict(args, "optimize")
+    config = _config_dict(args)
     if args.trace_out is not None:
         _write_output(args.trace_out,
                       _csv_payload(config, ["v_m", "r", "rate"], result.trace))
@@ -412,7 +377,7 @@ def _add_protocol_arguments(parser: argparse.ArgumentParser) -> None:
                         help="reconciliation efficiency (default 0.98)")
     parser.add_argument("--v-m", type=float, default=None,
                         help="fixed modulation variance (omit to optimize)")
-    parser.add_argument("--v-m-grid", type=str, default="1:1000:25",
+    parser.add_argument("--v-m-grid", type=str, default=_axis_text(default_v_m_grid()),
                         help="log-spaced modulation grid start:stop:points")
 
 
@@ -422,12 +387,14 @@ def _add_finite_arguments(parser: argparse.ArgumentParser,
                         help="total signals exchanged (comma list where supported)")
     parser.add_argument("--ratio", type=float, default=None,
                         help="fixed key fraction n/n_bar (omit to optimize)")
-    parser.add_argument("--r-grid", type=str, default="0.1:0.9:9",
+    parser.add_argument("--r-grid", type=str, default=_axis_text(default_r_grid()),
                         help="key-fraction grid start:stop:points")
-    parser.add_argument("--eps-pa", type=float, default=1e-10)
-    parser.add_argument("--z", type=float, default=DEFAULT_Z)
-    parser.add_argument("--delta-prefactor", type=float, default=1.0)
-    parser.add_argument("--refinement-rounds", type=int, default=2)
+    parser.add_argument("--eps-pa", type=float, default=OptimizationSpec.eps_pa)
+    parser.add_argument("--z", type=float, default=OptimizationSpec.z)
+    parser.add_argument("--delta-prefactor", type=float,
+                        default=OptimizationSpec.delta_prefactor)
+    parser.add_argument("--refinement-rounds", type=int,
+                        default=OptimizationSpec.refinement_rounds)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,9 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_arguments(modscan, db_default=None)
     _add_protocol_arguments(modscan)
     _add_finite_arguments(modscan, n_bar_default="1e6")
-    modscan.add_argument("--optimize-ratio", action="store_true",
-                         help="optimize the key fraction over --r-grid for each "
-                              "v_m (also the default without --ratio)")
     modscan.add_argument("--out", type=str, default=None)
     modscan.add_argument("--format", choices=("csv", "json"), default="csv")
     modscan.set_defaults(func=cmd_modscan)

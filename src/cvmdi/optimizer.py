@@ -16,9 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelParams, noise_from_attack
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .estimation import DEFAULT_Z, estimate_channel, report_from_parameters
-from .finite_size import FiniteSizeParams, finite_size_key_rate
+from .finite_size import (
+    DEFAULT_DELTA_PREFACTOR,
+    DEFAULT_EPS_PA,
+    finite_size_key_rate,
+    FiniteSizeParams,
+)
 from .keyrate import ProtocolParams, asymptotic_key_rate
 from .simulator import SimulationSpec, sample_dataset
 
@@ -50,9 +55,9 @@ class OptimizationSpec:
     n_bar: int
     v_m_grid: tuple[float, ...] = field(default_factory=default_v_m_grid)
     r_grid: tuple[float, ...] = field(default_factory=default_r_grid)
-    eps_pa: float = 1e-10
+    eps_pa: float = DEFAULT_EPS_PA
     z: float = DEFAULT_Z
-    delta_prefactor: float = 1.0
+    delta_prefactor: float = DEFAULT_DELTA_PREFACTOR
     refinement_rounds: int = 2
     mode: str = "analysis"
     seed: int = 0
@@ -149,12 +154,11 @@ def _make_objective(spec: OptimizationSpec):
         if key in cache:
             return cache[key]
         protocol = ProtocolParams(v_m=v_m, xi=spec.xi)
-        fs = FiniteSizeParams.from_ratio(spec.n_bar, ratio, eps_pa=spec.eps_pa,
-                                         z=spec.z)
+        fs = FiniteSizeParams.from_ratio(spec.n_bar, ratio, eps_pa=spec.eps_pa)
         if spec.mode == "analysis":
             # projected_key_rate, with the relay noise computed once per search
             report = report_from_parameters(channel.tau_a, channel.tau_b, noise,
-                                            v_m, fs.m, z=fs.z)
+                                            v_m, fs.m, z=spec.z)
         else:
             sim = SimulationSpec(channel, v_m, fs.m, trials=1, seed=spec.seed)
             dataset = sample_dataset(sim, trial_index=len(cache))
@@ -185,7 +189,8 @@ def optimize_key_rate(spec: OptimizationSpec) -> OptimizationResult:
 
 def optimize_asymptotic(channel: ChannelParams, xi: float,
                         v_m_grid: tuple[float, ...] | None = None,
-                        refinement_rounds: int = 2) -> tuple[float, float, list]:
+                        refinement_rounds: int = OptimizationSpec.refinement_rounds,
+                        ) -> tuple[float, float, list]:
     """1-D version for the asymptotic rate: returns (v_m, rate, trace)."""
     grid = tuple(float(v) for v in (v_m_grid if v_m_grid is not None
                                     else default_v_m_grid()))

@@ -7,7 +7,6 @@ per-criterion lines; the Monte Carlo criteria draw each block's moment
 matrices directly, so each takes seconds.
 """
 
-import json
 import math
 import time
 
@@ -21,7 +20,6 @@ from cvmdi import (
     db_to_transmissivity,
     entropy_term,
     holevo_bound,
-    key_rate_breakdown,
     mutual_information,
     NoiseVars,
     noise_from_attack,

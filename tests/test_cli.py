@@ -51,10 +51,10 @@ class TestRate:
                                                  1.01, 1.01)
         spec = OptimizationSpec(channel, 0.98, 10**6, z=5.0, delta_prefactor=2.0)
         v_m, ratio = finite["v_m"], finite["ratio"]
-        fs = FiniteSizeParams.from_ratio(10**6, ratio, z=5.0)
+        fs = FiniteSizeParams.from_ratio(10**6, ratio)
         assert finite["k"] == optimize_key_rate(spec).rate
         assert finite["k"] == projected_key_rate(ProtocolParams(v_m, 0.98), channel,
-                                                 fs, 2.0)
+                                                 fs, 2.0, z=5.0)
         assert finite["k"] == ratio * (finite["worst_case"]["k_infinity"]
                                        - finite["penalty"])
 
@@ -202,7 +202,6 @@ class TestModscan:
         from cvmdi import ChannelParams, optimize_key_rate, OptimizationSpec
         channel = ChannelParams.two_mode_optimal(0.98, 0.7, 1.01, 1.01)
         rows = self.scan_rows(capsys)
-        assert rows == self.scan_rows(capsys, "--optimize-ratio")
         pinned = self.scan_rows(capsys, "--ratio", "0.5")
         for (v_m, rate), (_, rate_pinned) in zip(rows, pinned):
             spec = OptimizationSpec(channel, 0.98, 10**6, v_m_grid=(v_m,),
@@ -210,7 +209,10 @@ class TestModscan:
             assert rate == optimize_key_rate(spec).rate >= rate_pinned
 
     def test_ratio_with_optimize_ratio_exits_two(self, capsys):
-        assert run_cli(*self.SCAN, "--ratio", "0.5", "--optimize-ratio") == 2
+        # omitting --ratio already optimizes it; --optimize-ratio is not an option
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*self.SCAN, "--ratio", "0.5", "--optimize-ratio")
+        assert exit_info.value.code == 2
         assert "--optimize-ratio" in capsys.readouterr().err
 
     def test_v_m_exits_two_naming_the_grid(self, capsys):
@@ -319,6 +321,21 @@ class TestOptimize:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["v_m"], payload["ratio"], payload["evaluations"]) == (5.0, 0.5, 1)
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("command", ["rate", "sweep", "modscan", "optimize"])
+    def test_search_flags_default_to_the_library(self, command):
+        from cvmdi import (ChannelParams, default_r_grid, default_v_m_grid,
+                           OptimizationSpec)
+        from cvmdi.cli import _parse_axis, _parse_log_axis, build_parser
+        args = build_parser().parse_args([command])
+        assert tuple(_parse_log_axis(args.v_m_grid, "v-m")) == default_v_m_grid()
+        assert tuple(_parse_axis(args.r_grid, "ratio")) == default_r_grid()
+        spec = OptimizationSpec(ChannelParams.pure_loss(0.9, 0.9), 0.98, 10**6)
+        for name in ("eps_pa", "z", "delta_prefactor", "refinement_rounds"):
+            flag, field = getattr(args, name), getattr(spec, name)
+            assert (flag, type(flag)) == (field, type(field))
 
 
 class TestBadInput:

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from cvmdi import (
@@ -12,7 +11,6 @@ from cvmdi import (
     finite_size_penalty,
     FiniteSizeParams,
     noise_from_attack,
-    optimize_asymptotic,
     projected_key_rate,
     ProtocolParams,
     report_from_parameters,
@@ -99,6 +97,21 @@ class TestFiniteSizeKeyRate:
         k_inf = asymptotic_key_rate(self.protocol, self.channel.tau_a,
                                     self.channel.tau_b, self.noise)
         assert k < fs.ratio * k_inf
+
+    def test_projected_rate_honours_z(self):
+        from cvmdi.estimation import DEFAULT_Z
+        fs = FiniteSizeParams.from_ratio(10**6, 0.5)
+        zs = (DEFAULT_Z, 1.0, 0.0)
+        rates = [projected_key_rate(self.protocol, self.channel, fs, z=z) for z in zs]
+        for z, rate in zip(zs, rates):
+            report = report_from_parameters(self.channel.tau_a, self.channel.tau_b,
+                                            self.noise, self.protocol.v_m, fs.m, z=z)
+            assert rate == finite_size_key_rate(self.protocol, report, fs)
+        # narrower bounds, higher rate; the block split carries no z of its own
+        assert rates[0] < rates[1] < rates[2]
+        assert projected_key_rate(self.protocol, self.channel, fs) == rates[0]
+        with pytest.raises(TypeError):
+            FiniteSizeParams(n_bar=10**6, m=10, z=1.0)
 
     def test_monotone_in_block_size_at_fixed_ratio(self):
         rates = [projected_key_rate(self.protocol, self.channel,

@@ -47,6 +47,17 @@ class TestEntropyTerm:
         for x in (1e4, 3e4, 1e6):
             assert entropy_term(x) == pytest.approx(h_direct(x), rel=1e-9)
 
+    def test_accurate_without_the_asymptote(self):
+        # 350 digits resolve (x + 1)/2 against (x - 1)/2 up to x = 1e300; the
+        # log2(e*x/2) asymptote is 2e-10 relative off h at x = 1e4.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(350):
+            for x in np.geomspace(1e4, 1e300, 60).tolist():
+                up, down = (mpmath.mpf(x) + 1) / 2, (mpmath.mpf(x) - 1) / 2
+                exact = up * mpmath.log(up, 2) - down * mpmath.log(down, 2)
+                assert abs(entropy_term(x) - exact) <= 1e-15 * exact
+        assert entropy_term(math.inf) == math.inf
+
     def test_below_one_raises_with_value(self):
         with pytest.raises(DomainError, match="0.5"):
             entropy_term(0.5)

@@ -8,7 +8,6 @@ from cvmdi import (
     asymptotic_key_rate,
     ChannelParams,
     conditional_cms,
-    ConfigurationError,
     CVMDIError,
     db_to_transmissivity,
     DomainError,

@@ -14,7 +14,6 @@ from cvmdi import (
     estimate_covariances,
     estimate_excess_noise,
     estimate_transmissivities,
-    NoiseVars,
     noise_from_attack,
     NumericalDegeneracyError,
     run_trials,
