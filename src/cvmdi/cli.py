@@ -5,12 +5,18 @@ the fully resolved configuration so a run can be reproduced exactly from
 its own output.  Exit codes: 0 success (a negative best rate is still
 success, flagged in the payload), 2 configuration errors, 3 numerical or
 physicality errors.
+
+`main(argv)` builds the argument parser on its first call and reuses it
+for the rest of the process, so in-process callers (tests, notebooks, the
+benchmark) pay for it once.  `build_parser()` returns a fresh parser for
+callers who want to extend it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -134,6 +140,9 @@ def _parse_n_bars(text: str) -> list[int]:
         raise ConfigurationError(f"bad block-size list {text!r}: {exc}") from None
     if not values:
         raise ConfigurationError("block-size list is empty")
+    if len(set(values)) != len(values):
+        repeated = next(n for n in values if values.count(n) > 1)
+        raise ConfigurationError(f"block-size list {text!r} repeats {repeated}")
     return values
 
 
@@ -257,6 +266,9 @@ def cmd_rate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.tau_b is not None:
+        raise ConfigurationError(
+            "sweep takes Bob's link from --bob-db or --common-db, not --tau-b")
     if args.common_db is not None:
         db_values = _parse_axis(args.common_db, "common-db")
         symmetric = True
@@ -458,9 +470,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses: built on the first call, then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigurationError, DomainError, DatasetError) as exc:

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvmdi
+from cvmdi import cli
 from cvmdi.cli import main
 
 
@@ -150,6 +156,21 @@ class TestSweep:
         rerun = tmp_path / "sweep2.csv"
         assert run_cli(*args, "--out", str(rerun)) == 0
         assert out.read_bytes() == rerun.read_bytes()
+
+    @pytest.mark.parametrize("n_bars", ["1e6,1e6", "1e9,1e6,1000000"])
+    def test_repeated_block_size_exits_two(self, capsys, n_bars):
+        assert run_cli("sweep", "--bob-db", "2", "--n-bar", n_bars) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: block-size list {n_bars!r} repeats 1000000\n"
+
+    @pytest.mark.parametrize("link", [("--bob-db", "2"), ("--common-db", "3")])
+    def test_tau_b_exits_two(self, capsys, link):
+        # sweep reads Bob's link from its dB grid; --tau-b would be ignored
+        assert run_cli("sweep", *link, "--n-bar", "1e6", "--tau-b", "0.3") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tau-b" in captured.err
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "sweep.json"
@@ -321,6 +342,67 @@ class TestOptimize:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["v_m"], payload["ratio"], payload["evaluations"]) == (5.0, 0.5, 1)
+
+
+def fresh_process_output(*argv) -> str:
+    """stdout of `python -m cvmdi argv` in a new interpreter."""
+    src = str(Path(cvmdi.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "cvmdi", *argv], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    return out.stdout
+
+
+class TestParserReuse:
+    NEXT = ("sweep", "--bob-db", "2", "--n-bar", "1e6")
+
+    @pytest.fixture(scope="class")
+    def next_payload(self):
+        return fresh_process_output(*self.NEXT)
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_many_calls_build_the_parser_once(self, monkeypatch, capsys):
+        built, build_parser = [], cli.build_parser
+
+        def counting_build_parser():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        payloads = set()
+        for _ in range(5):
+            assert run_cli("rate", "--bob-db", "2", "--v-m", "4") == 0
+            payloads.add(capsys.readouterr().out)
+        assert len(built) == 1
+        assert len(payloads) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
+    @pytest.mark.parametrize("argv, code", [
+        # argparse exits, ConfigurationError, PhysicalityError
+        (("sweep", "--tau-a", "0.5", "--attack", "pure-loss", "--format", "xml"), 2),
+        (("sweep", "--tau-a", "0.5", "--attack", "pure-loss", "--common-db", "1",
+          "--n-bar", "1e6,1e6"), 2),
+        (("sweep", "--bob-db", "0:0:1", "--attack", "pure-loss",
+          "--tau-a", "0.999257"), 3),
+    ])
+    def test_failed_call_leaves_next_payload_unchanged(self, capsys, next_payload,
+                                                      argv, code):
+        try:
+            assert run_cli(*argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        capsys.readouterr()
+        assert run_cli(*self.NEXT) == 0
+        assert capsys.readouterr().out == next_payload
 
 
 class TestDefaults:
