@@ -371,14 +371,14 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _add_channel_arguments(parser: argparse.ArgumentParser,
-                           db_default: str | None) -> None:
+def _add_channel_arguments(parser: argparse.ArgumentParser, db_default: str | None,
+                           tau_b_help: str = "Bob-link transmissivity "
+                                             "(alternative to --bob-db)") -> None:
     parser.add_argument("--tau-a", type=float, default=0.98,
                         help="Alice-link transmissivity (default 0.98)")
     parser.add_argument("--bob-db", type=str, default=db_default,
                         help="Bob-link attenuation in dB (value or start:stop:points)")
-    parser.add_argument("--tau-b", type=float, default=None,
-                        help="Bob-link transmissivity (alternative to --bob-db)")
+    parser.add_argument("--tau-b", type=float, default=None, help=tau_b_help)
     parser.add_argument("--attack", choices=ATTACKS, default="two-mode-optimal")
     parser.add_argument("--omega-a", type=float, default=1.01,
                         help="thermal variance on Alice's link (default 1.01)")
@@ -427,7 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
     rate.set_defaults(func=cmd_rate)
 
     sweep = sub.add_parser("sweep", help="rate versus attenuation (CSV)")
-    _add_channel_arguments(sweep, db_default="0:20:41")
+    # --tau-b stays registered so that the config echo keeps its key
+    _add_channel_arguments(sweep, db_default="0:20:41",
+                           tau_b_help="not accepted: sweep takes Bob's link from "
+                                      "--bob-db or --common-db (exits 2)")
     sweep.add_argument("--common-db", type=str, default=None,
                        help="symmetric sweep: both links at this attenuation grid")
     _add_protocol_arguments(sweep)

@@ -17,10 +17,13 @@ One pipeline estimates a stack of blocks' moments, shape (k, 2, 3, 3), in
 a few array expressions per stage.  The public estimators are its k = 1
 case and `simulator` runs it on chunks of trials.  It runs under
 errstate(all="ignore"), overflowing to inf as Python floats do, and raises
-the same typed error for a bad block wherever it sits.  The analytic
-variance formulas and `EstimationReport` stay scalar: analysis mode
-evaluates them once per rate point, where numpy calls cost more than the
-arithmetic.
+the same typed error for a bad block wherever it sits.
+
+Analysis mode reads spreads off the analytic variance formulas at the true
+parameters.  `report_from_parameters` and `EstimationReport` are the
+scalar oracle for one point; `_parameter_bounds` gives the same bounds,
+bit for bit, for a whole optimizer round, through the stacked
+`_transmissivity_variances`.
 """
 
 from __future__ import annotations
@@ -172,11 +175,20 @@ def _plugin_totals(excess: np.ndarray) -> np.ndarray:
 def _transmissivity_variances(tau: np.ndarray, v_m: float, totals: np.ndarray,
                               m: int) -> np.ndarray:
     """transmissivity_variance's (q, p) variances, shape (2, 2, k), of both
-    links (a, then b) at transmissivities tau (2, k) and total noise (2, k)."""
+    links (a, then b) at transmissivities tau (2, k) and total noise (2, k).
+    v_m and m are scalars or, in analysis mode, one per point (k,), and
+    tau and the totals may then be (2, 1)."""
     weight = tau + 0.5 * tau[::-1]
     base = 8.0 * tau * weight / m
     variances = base[:, None] * (1.0 + totals / (weight[:, None] * v_m))
     return np.where((tau == 0.0)[:, None], 0.0, variances)
+
+
+def _combined_variances(tau: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """The inverse-variance mix q p / (q + p) of _transmissivity_variances'
+    output, shape (2, k), and 0 at tau = 0, as transmissivity_variance."""
+    return np.where(tau == 0.0, 0.0, variances[:, 0] * variances[:, 1]
+                    / (variances[:, 0] + variances[:, 1]))
 
 
 def _transmissivities(moments: np.ndarray, m: int, v_m: float):
@@ -211,8 +223,8 @@ def _estimate(moments: np.ndarray, m: int, v_m: float):
             f"excess-noise variance overflows: total noise ({totals[0, block]:.6g}, "
             f"{totals[1, block]:.6g}) is too large to square")
     var = _transmissivity_variances(tau, v_m, totals, m)
-    tau_var = np.where(tau == 0.0, 0.0, var[:, 0] * var[:, 1] / (var[:, 0] + var[:, 1]))
-    spreads = np.sqrt(np.concatenate([tau_var, 2.0 * squares / m]))
+    spreads = np.sqrt(np.concatenate([_combined_variances(tau, var),
+                                      2.0 * squares / m]))
     # With finite estimates, EstimationReport's bounds are out of order at
     # z > 0 only for a NaN spread: 0/0 or inf/inf in a combined variance.
     if np.isnan(spreads).any():
@@ -299,6 +311,34 @@ def excess_noise_variance(noise: NoiseVars, m: int) -> tuple[float, float]:
         raise NumericalDegeneracyError(
             f"excess-noise variance overflows: total noise ({noise.total_q:.6g}, "
             f"{noise.total_p:.6g}) is too large to square") from None
+
+
+@np.errstate(all="ignore")
+def _parameter_bounds(tau_a: float, tau_b: float, noise: NoiseVars, v_m: np.ndarray,
+                      m: np.ndarray, z: float):
+    """report_from_parameters' worst-case bounds at arrays v_m and m (k,),
+    bitwise equal elementwise: tau_low (2, k), links a then b, excess_up
+    (2, k), q then p, and a suspect mask (k,) marking every point where the
+    scalar report raises (it may mark more).  m holds float(m)."""
+    try:
+        # excess_noise_variance's 2.0 * total ** 2, whose OverflowError the
+        # scalar report raises; here it leaves excess_up infinite
+        twice_squares = np.array([[2.0 * noise.total_q ** 2], [2.0 * noise.total_p ** 2]])
+    except OverflowError:
+        twice_squares = np.full((2, 1), math.inf)
+    tau = np.array([[tau_a], [tau_b]])
+    excess = np.array([[noise.excess_q], [noise.excess_p]])
+    var = _transmissivity_variances(tau, v_m, np.array([[noise.total_q], [noise.total_p]]), m)
+    tau_std = np.sqrt(_combined_variances(tau, var))
+    # EstimationReport's min(max(x, 0.0), 1.0), NaN kept as Python keeps it
+    low = tau - z * tau_std
+    low = np.where(0.0 > low, 0.0, low)
+    tau_low = np.where(1.0 < low, 1.0, low)
+    excess_up = excess + z * np.sqrt(twice_squares / m)
+    suspect = ~((0.0 < v_m) & (v_m < math.inf)) | (not 0.0 <= z < math.inf)
+    suspect |= ~(np.isfinite(tau_std) & np.isfinite(excess_up)
+                 & (tau_low <= tau) & (excess_up >= excess)).all(axis=0)
+    return tau_low, excess_up, suspect
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,23 @@
-"""Finite-size key rate: block bookkeeping and the entropic penalty."""
+"""Finite-size key rate: block bookkeeping and the entropic penalty.
+
+projected_key_rate, with finite_size_rate and report_from_parameters, is
+the scalar oracle for one analysis-mode point; projected_key_rates is the
+batch evaluator the optimizer runs on a whole search round, equal to the
+oracle bit for bit wherever it does not flag a point.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import ChannelParams, NoiseVars, noise_from_attack
-from .errors import DomainError
-from .estimation import DEFAULT_Z, EstimationReport, report_from_parameters
-from .keyrate import key_rate_breakdown, ProtocolParams, RateBreakdown
+from .errors import CVMDIError, DomainError
+from .estimation import (_parameter_bounds, DEFAULT_Z, EstimationReport,
+                         report_from_parameters)
+from .keyrate import key_rate_batch, key_rate_breakdown, ProtocolParams, RateBreakdown
 
 # Privacy-amplification failure probability.
 DEFAULT_EPS_PA = 1e-10
@@ -121,3 +130,36 @@ def projected_key_rate(protocol: ProtocolParams, channel: ChannelParams,
     report = report_from_parameters(channel.tau_a, channel.tau_b, noise,
                                     protocol.v_m, fs.m, z=z)
     return finite_size_key_rate(protocol, report, fs, delta_prefactor)
+
+
+@np.errstate(all="ignore")
+def projected_key_rates(points, tau_a: float, tau_b: float, noise: NoiseVars,
+                        xi: float, n_bar: int, z: float = DEFAULT_Z,
+                        eps_pa: float = DEFAULT_EPS_PA,
+                        delta_prefactor: float = DEFAULT_DELTA_PREFACTOR):
+    """projected_key_rate over a list of (v_m, ratio) points on one channel.
+
+    Returns (rates, suspect), arrays over the points.  suspect marks every
+    point where the scalar oracle raises, and may mark more; every other
+    rate is bitwise the oracle's.  The block split and the penalty run in
+    Python per distinct ratio, so block sizes past 2**53 split as the
+    oracle splits them; the rest is one array pass.
+    """
+    v_m, ratios = zip(*points)
+    distinct: dict[float, int] = {}
+    which = [distinct.setdefault(ratio, len(distinct)) for ratio in ratios]
+    try:
+        splits = []
+        for ratio in distinct:
+            fs = FiniteSizeParams.from_ratio(n_bar, ratio, eps_pa=eps_pa)
+            splits.append((float(fs.m), fs.ratio,
+                           finite_size_penalty(fs.n, eps_pa, delta_prefactor)))
+    except (CVMDIError, ArithmeticError):
+        # The oracle raises this, or an earlier error, in its own order.
+        return np.full(len(points), math.nan), np.ones(len(points), dtype=bool)
+    m, key_fraction, penalty = np.array(splits)[which].T
+    v_m = np.array(v_m, dtype=float)
+    tau_low, excess_up, suspect = _parameter_bounds(tau_a, tau_b, noise, v_m, m, z)
+    k_infinity, unphysical = key_rate_batch(v_m, xi, *tau_low, *excess_up)
+    rates = key_fraction * (k_infinity - penalty)
+    return rates, suspect | unphysical | ~np.isfinite(rates)

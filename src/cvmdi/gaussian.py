@@ -144,6 +144,34 @@ def separable_spectrum(q11: float, q12: float, q22: float,
     return math.sqrt(hi_sq), _clamped_root(lo_sq, scale=1.0)
 
 
+@np.errstate(all="ignore")
+def separable_spectra(q11, q12, q22, p11, p12, p22):
+    """separable_spectrum over arrays of entries, bitwise equal elementwise.
+
+    Returns (hi, lo, suspect).  suspect marks every element where
+    separable_spectrum raises, plus NaN elements, whose outcome the caller's
+    own checks settle; elsewhere hi and lo are its values.
+    """
+    m11 = q11 * p11 + q12 * p12
+    m12 = q11 * p12 + q12 * p22
+    m21 = q12 * p11 + q22 * p12
+    m22 = q12 * p12 + q22 * p22
+    trace = m11 + m22
+    gap = m11 - m22
+    disc = gap * gap + 4.0 * m12 * m21
+    # _clamped_root: a negative value inside the band becomes 0, one below it
+    # raises; the band scales by max(scale, 1.0), whose NaN it keeps.
+    scale = trace * trace
+    negative = disc < 0.0
+    suspect = negative & (disc < -PHYSICALITY_TOL * np.where(1.0 > scale, 1.0, scale))
+    hi_sq = 0.5 * (trace + np.sqrt(np.where(negative, 0.0, disc)))
+    suspect |= ~(hi_sq > 0.0)
+    det_m = (q11 * q22 - q12 * q12) * (p11 * p22 - p12 * p12)
+    lo_sq = det_m / hi_sq
+    suspect |= lo_sq < -PHYSICALITY_TOL
+    return np.sqrt(hi_sq), np.sqrt(np.where(lo_sq < 0.0, 0.0, lo_sq)), suspect
+
+
 def min_symplectic_eigenvalue(v) -> float:
     return symplectic_eigenvalues(v)[-1]
 
@@ -176,6 +204,24 @@ def spectrum_entropy(nus) -> float:
         if nu > 1.0:
             total += entropy_term(nu)
     return total
+
+
+@np.errstate(all="ignore")
+def entropy_terms(nus: np.ndarray) -> np.ndarray:
+    """entropy_term over an array, bitwise equal elementwise, with 0 where
+    nu <= 1 or NaN, as spectrum_entropy counts the band below 1.
+
+    The logs go through math, not numpy: numpy's SIMD log1p and log2 may
+    differ from the C library's by one ulp.  The caller checks the band.
+    """
+    live = nus > 1.0
+    x = np.where(live, nus, 2.0)
+    up = 0.5 * (x + 1.0)
+    down = 0.5 * (x - 1.0)
+    log1p = np.fromiter(map(math.log1p, (1.0 / down).tolist()), float, len(x))
+    log2 = np.fromiter(map(math.log2, up.tolist()), float, len(x))
+    terms = np.where(x == math.inf, math.inf, down * log1p / _LN_2 + log2)
+    return np.where(live, terms, 0.0)
 
 
 def tmsv_cm(mu: float) -> np.ndarray:

@@ -11,6 +11,11 @@ the rate in closed form from the matrix entries: the spectrum comes from
 gaussian.separable_spectrum, in plain floats, with no matrix built.
 conditional_cms with mutual_information and holevo_bound is the general
 4x4 route, kept as the oracle the closed form is tested against.
+
+key_rate_batch is the batch evaluator of the same closed form: K_inf for a
+whole optimizer round in one array pass, bitwise equal to the scalar
+oracle key_rate_breakdown wherever it does not flag a point, and flagging
+every point where that raises.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ import numpy as np
 from .channel import NoiseVars
 from .errors import ConfigurationError, DomainError, PhysicalityError
 from .gaussian import (
+    entropy_terms,
     PHYSICALITY_TOL,
+    separable_spectra,
     separable_spectrum,
     spectrum_entropy,
     symplectic_eigenvalues,
@@ -178,6 +185,63 @@ def key_rate_breakdown(protocol: ProtocolParams, tau_a: float, tau_b: float,
     i_ab = _mutual_information(q[2], p[2], bob_q, bob_p)
     i_h = spectrum_entropy(spectrum) - spectrum_entropy((bob_eigenvalue,))
     return RateBreakdown(i_ab, i_h, protocol.xi * i_ab - i_h)
+
+
+@np.errstate(all="ignore")
+def key_rate_batch(v_m, xi: float, tau_a, tau_b, excess_q, excess_p):
+    """K_inf of key_rate_breakdown over arrays, bitwise equal elementwise.
+
+    v_m, the transmissivities and the excess noise broadcast together;
+    xi is one efficiency.  Returns (k_infinity, suspect): suspect marks
+    every element where ProtocolParams, NoiseVars or key_rate_breakdown
+    would raise, and may mark more (any NaN, any infinite rate); the other
+    elements hold exactly the scalar oracle's k_infinity.  v_m is 1-D;
+    the other arrays are scalars or of its shape.
+    """
+    v_m, tau_a, tau_b, excess_q, excess_p = (
+        np.asarray(x, dtype=float) for x in (v_m, tau_a, tau_b, excess_q, excess_p))
+    total_q = 1.0 + excess_q
+    total_p = 1.0 + excess_p
+    suspect = ~((0.0 <= v_m) & (v_m < math.inf)) | (not 0.0 < xi <= 1.0)
+    suspect |= ~(np.isfinite(excess_q) & np.isfinite(excess_p)
+                 & (total_q > 0.0) & (total_p > 0.0))
+    suspect |= ~((0.0 <= tau_a) & (tau_a <= 1.0) & (0.0 <= tau_b) & (tau_b <= 1.0))
+
+    # _conditional_entries, operation for operation
+    mu = v_m + 1.0
+    load = (tau_a + tau_b) * v_m + 2.0
+    denom_q = load + 2.0 * excess_q
+    denom_p = load + 2.0 * excess_p
+    suspect |= ~((denom_q > 0.0) & (denom_p > 0.0))
+    strength = v_m * (v_m + 2.0)
+    cross = np.sqrt(tau_a * tau_b)
+    q11 = mu - strength * (tau_a / denom_q)
+    q12 = strength * (cross / denom_q)
+    q22 = mu - strength * (tau_b / denom_q)
+    p11 = mu - strength * (tau_a / denom_p)
+    p12 = -(strength * (cross / denom_p))
+    p22 = mu - strength * (tau_b / denom_p)
+    signal = tau_b * v_m
+    bob_q = (2.0 * mu * total_q - signal) / (2.0 * total_q + signal)
+    bob_p = (2.0 * mu * total_p - signal) / (2.0 * total_p + signal)
+    suspect |= ~((bob_q > 0.0) & (bob_p > 0.0))
+
+    hi, lo, degenerate = separable_spectra(q11, q12, q22, p11, p12, p22)
+    bob = np.sqrt(bob_q * bob_p)
+    floor = 1.0 - PHYSICALITY_TOL
+    suspect |= degenerate | ~((hi >= floor) & (lo >= floor) & (bob >= floor))
+
+    ratios = np.concatenate([(q22 + 1.0) / (bob_q + 1.0), (p22 + 1.0) / (bob_p + 1.0)])
+    positive = ratios > 0.0
+    suspect |= ~positive.reshape(2, -1).all(axis=0)
+    logs = np.fromiter(map(math.log2, np.where(positive, ratios, 1.0).tolist()),
+                       float, len(ratios))
+    log_q, log_p = logs.reshape(2, -1)
+    i_ab = 0.5 * log_q + 0.5 * log_p
+    h_hi, h_lo, h_bob = entropy_terms(np.concatenate([hi, lo, bob])).reshape(3, -1)
+    i_h = (h_hi + h_lo) - h_bob
+    k = xi * i_ab - i_h
+    return k, suspect | ~np.isfinite(k)
 
 
 def asymptotic_key_rate(protocol: ProtocolParams, tau_a: float, tau_b: float,

@@ -5,6 +5,14 @@ incumbent: each round shrinks the search window by a fixed factor (same
 point count) and clips it to the hull of the initial grids.  The rate
 surface is smooth but can sit entirely below zero at high attenuation;
 that case is reported through a flag, not an error.
+
+The search evaluates one round at a time.  In analysis mode a round is
+one batch call, finite_size.projected_key_rates for the finite-size rate
+and keyrate.key_rate_batch for K_inf, each bitwise equal to its scalar
+oracle (projected_key_rate, asymptotic_key_rate).  A round with a point
+the batch flags is replayed through the oracle point by point, so errors
+are the oracle's.  Protocol mode loops over its scalar objective, which
+draws one block per point.
 """
 
 from __future__ import annotations
@@ -17,14 +25,16 @@ import numpy as np
 
 from .channel import ChannelParams, noise_from_attack
 from .errors import ConfigurationError
-from .estimation import DEFAULT_Z, estimate_channel, report_from_parameters
+from .estimation import DEFAULT_Z, estimate_channel
 from .finite_size import (
     DEFAULT_DELTA_PREFACTOR,
     DEFAULT_EPS_PA,
     finite_size_key_rate,
     FiniteSizeParams,
+    projected_key_rate,
+    projected_key_rates,
 )
-from .keyrate import ProtocolParams, asymptotic_key_rate
+from .keyrate import asymptotic_key_rate, key_rate_batch, ProtocolParams
 from .simulator import SimulationSpec, sample_dataset
 
 MODES = ("analysis", "protocol")
@@ -119,9 +129,10 @@ def _linear_window(center: float, count: int, lo: float, hi: float,
 def _grid_refine(evaluate, axes, rounds: int):
     """Search a grid, then refine `rounds` times around the incumbent.
 
-    axes holds one (grid, window) pair per argument of evaluate; round k
+    axes holds one (grid, window) pair per coordinate of a point; round k
     replaces each grid by window(incumbent, len(grid), min(grid), max(grid),
-    SHRINK ** k).  Points run in row-major order, the first axis outermost.
+    SHRINK ** k).  Each round's points, in row-major order with the first
+    axis outermost, go to evaluate in one call, which returns their rates.
     Returns (best, trace): best is (rate, *point), and trace lists every
     evaluation as (*point, rate), repeats included.
     """
@@ -135,39 +146,63 @@ def _grid_refine(evaluate, axes, rounds: int):
             factor = SHRINK ** round_index
             grids = [window(center, len(grid), min(grid), max(grid), factor)
                      for (grid, window), center in zip(axes, best[1:])]
-        for point in itertools.product(*grids):
-            rate = evaluate(*point)
-            trace.append((*point, rate))
-            candidate = (rate, *point)
-            if best is None or _better(candidate, best):
-                best = candidate
+        points = list(itertools.product(*grids))
+        rates = evaluate(points)
+        trace.extend((*point, rate) for point, rate in zip(points, rates))
+        for point, rate in zip(points, rates):
+            # _better needs rate >= best's rate, which NaN never meets
+            if best is None or (rate >= best[0] and _better((rate, *point), best)):
+                best = (rate, *point)
     return best, trace
 
 
+def _cached_rounds(scalar, batch=None):
+    """Round evaluator for _grid_refine over a cache of computed points.
+
+    scalar(index, *point) computes one point, index being the number of
+    points computed before it.  batch, when given, takes a round's fresh
+    points and returns (rates, suspect) arrays; if it flags no point its
+    rates are kept, and otherwise scalar replays the round in row-major
+    order and so raises exactly what it raises.
+    """
+    cache: dict[tuple[float, ...], float] = {}
+
+    def evaluate(points):
+        if batch is not None:
+            fresh = [point for point in dict.fromkeys(points) if point not in cache]
+            if fresh:
+                rates, suspect = batch(fresh)
+                if not suspect.any():
+                    cache.update(zip(fresh, rates.tolist()))
+        for point in points:
+            if point not in cache:
+                cache[point] = scalar(len(cache), *point)
+        return [cache[point] for point in points]
+
+    return evaluate
+
+
 def _make_objective(spec: OptimizationSpec):
-    cache: dict[tuple[float, float], float] = {}
     channel = spec.channel
     noise = noise_from_attack(channel)
 
-    def evaluate(v_m: float, ratio: float) -> float:
-        key = (v_m, ratio)
-        if key in cache:
-            return cache[key]
+    def scalar(index: int, v_m: float, ratio: float) -> float:
         protocol = ProtocolParams(v_m=v_m, xi=spec.xi)
         fs = FiniteSizeParams.from_ratio(spec.n_bar, ratio, eps_pa=spec.eps_pa)
         if spec.mode == "analysis":
-            # projected_key_rate, with the relay noise computed once per search
-            report = report_from_parameters(channel.tau_a, channel.tau_b, noise,
-                                            v_m, fs.m, z=spec.z)
-        else:
-            sim = SimulationSpec(channel, v_m, fs.m, trials=1, seed=spec.seed)
-            dataset = sample_dataset(sim, trial_index=len(cache))
-            report = estimate_channel(dataset, v_m, z=spec.z)
-        rate = finite_size_key_rate(protocol, report, fs, spec.delta_prefactor)
-        cache[key] = rate
-        return rate
+            return projected_key_rate(protocol, channel, fs, spec.delta_prefactor,
+                                      spec.z)
+        sim = SimulationSpec(channel, v_m, fs.m, trials=1, seed=spec.seed)
+        report = estimate_channel(sample_dataset(sim, trial_index=index), v_m,
+                                  z=spec.z)
+        return finite_size_key_rate(protocol, report, fs, spec.delta_prefactor)
 
-    return evaluate
+    def batch(points):
+        return projected_key_rates(points, channel.tau_a, channel.tau_b, noise,
+                                   spec.xi, spec.n_bar, spec.z, spec.eps_pa,
+                                   spec.delta_prefactor)
+
+    return _cached_rounds(scalar, batch if spec.mode == "analysis" else None)
 
 
 def optimize_key_rate(spec: OptimizationSpec) -> OptimizationResult:
@@ -197,14 +232,15 @@ def optimize_asymptotic(channel: ChannelParams, xi: float,
     if not grid or min(grid) <= 0.0:
         raise ConfigurationError("v_m grid must be non-empty and positive")
     noise = noise_from_attack(channel)
-    cache: dict[float, float] = {}
 
-    def evaluate(v_m: float) -> float:
-        if v_m not in cache:
-            cache[v_m] = asymptotic_key_rate(ProtocolParams(v_m, xi),
-                                             channel.tau_a, channel.tau_b, noise)
-        return cache[v_m]
+    def scalar(index: int, v_m: float) -> float:
+        return asymptotic_key_rate(ProtocolParams(v_m, xi), channel.tau_a,
+                                   channel.tau_b, noise)
 
-    (rate, v_m), trace = _grid_refine(evaluate, ((grid, _log_window),),
-                                      refinement_rounds)
+    def batch(points):
+        return key_rate_batch([v_m for v_m, in points], xi, channel.tau_a,
+                              channel.tau_b, noise.excess_q, noise.excess_p)
+
+    (rate, v_m), trace = _grid_refine(_cached_rounds(scalar, batch),
+                                      ((grid, _log_window),), refinement_rounds)
     return v_m, rate, trace

@@ -172,6 +172,17 @@ class TestSweep:
         assert captured.out == ""
         assert "--tau-b" in captured.err
 
+    @pytest.mark.parametrize("command", ["sweep", "rate", "modscan", "simulate",
+                                         "optimize"])
+    def test_help_says_whether_tau_b_is_accepted(self, capsys, command):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        text = " ".join(capsys.readouterr().out.split())
+        accepted = "--tau-b TAU_B Bob-link transmissivity (alternative to --bob-db)"
+        rejected = ("--tau-b TAU_B not accepted: sweep takes Bob's link from "
+                    "--bob-db or --common-db (exits 2)")
+        assert (rejected if command == "sweep" else accepted) in text
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "sweep.json"
         code = run_cli("sweep", "--bob-db", "1:2:2", "--n-bar", "1e6",
