@@ -28,11 +28,9 @@ from .estimation import (
     estimate_excess_noise,
     estimate_transmissivities,
     EstimationReport,
-    excess_noise_variance,
     QuadratureDataset,
     report_from_parameters,
     transmissivities_per_quadrature,
-    transmissivity_variance,
 )
 from .finite_size import (
     finite_size_key_rate,
@@ -98,7 +96,6 @@ __all__ = [
     "estimate_transmissivities",
     "EstimationReport",
     "eve_cm",
-    "excess_noise_variance",
     "finite_size_key_rate",
     "finite_size_penalty",
     "finite_size_rate",
@@ -130,7 +127,6 @@ __all__ = [
     "symplectic_form",
     "tmsv_cm",
     "transmissivities_per_quadrature",
-    "transmissivity_variance",
     "TrialStatistics",
     "von_neumann_entropy",
 ]

@@ -19,11 +19,15 @@ case and `simulator` runs it on chunks of trials.  It runs under
 errstate(all="ignore"), overflowing to inf as Python floats do, and raises
 the same typed error for a bad block wherever it sits.
 
-Analysis mode reads spreads off the analytic variance formulas at the true
-parameters.  `report_from_parameters` and `EstimationReport` are the
-scalar oracle for one point; `_parameter_bounds` gives the same bounds,
-bit for bit, for a whole optimizer round, through the stacked
-`_transmissivity_variances`.
+Both modes read one spreads-and-bounds stage: `_variances` gives the
+analytic variances of the four estimates at given transmissivities and
+total noise, and the pipeline's typed errors for them; their square roots
+are the spreads, and `_bounds` applies the worst-case rule adapted from
+Ruppert et al. (PRA 90, 062310, 2014), tau_low = clip(tau - z sigma, 0, 1)
+and excess_up = excess + z sigma.  Protocol mode evaluates the stage at
+the estimates, analysis mode at the true parameters:
+`report_from_parameters` for one point, and `_parameter_bounds` for a
+whole optimizer round, flagging the points where the report raises.
 """
 
 from __future__ import annotations
@@ -174,21 +178,56 @@ def _plugin_totals(excess: np.ndarray) -> np.ndarray:
 
 def _transmissivity_variances(tau: np.ndarray, v_m: float, totals: np.ndarray,
                               m: int) -> np.ndarray:
-    """transmissivity_variance's (q, p) variances, shape (2, 2, k), of both
-    links (a, then b) at transmissivities tau (2, k) and total noise (2, k).
-    v_m and m are scalars or, in analysis mode, one per point (k,), and
-    tau and the totals may then be (2, 1)."""
+    """Per-quadrature estimator variances, shape (2, 2, k): link (a, then b),
+    quadrature (q, then p), block.  For a link at tau beside tau' and total
+    noise T, Var = (8 tau / m)(tau + tau'/2)[1 + T / ((tau + tau'/2) v_m)],
+    and 0 at tau = 0.  tau (2, k) and the totals (2, k) may be (2, 1) when
+    v_m and m hold one value per point (k,)."""
     weight = tau + 0.5 * tau[::-1]
     base = 8.0 * tau * weight / m
     variances = base[:, None] * (1.0 + totals / (weight[:, None] * v_m))
     return np.where((tau == 0.0)[:, None], 0.0, variances)
 
 
-def _combined_variances(tau: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """The inverse-variance mix q p / (q + p) of _transmissivity_variances'
-    output, shape (2, k), and 0 at tau = 0, as transmissivity_variance."""
-    return np.where(tau == 0.0, 0.0, variances[:, 0] * variances[:, 1]
-                    / (variances[:, 0] + variances[:, 1]))
+_DISORDERED = ("worst-case bounds must lie below the transmissivities "
+               "and above the excess noise")
+
+
+def _variances(tau: np.ndarray, totals: np.ndarray, v_m, m, check: bool = True):
+    """Analytic variances, shape (4, k), of the estimates of tau_a, tau_b,
+    excess_q and excess_p at transmissivities tau (2, k) and total noise
+    (2, k): each link's inverse-variance mix q p / (q + p) of
+    _transmissivity_variances, 0 at tau = 0, then 2 T^2 / m, with T^2
+    numpy's correctly rounded square.  Their square roots are the spreads.
+
+    With check, raises NumericalDegeneracyError where a total noise is too
+    large to square, and DomainError for a NaN variance (0/0 or inf/inf in
+    a mix, as a subnormal transmissivity gives), with which the bounds would
+    be out of order at any z.
+    """
+    squares = np.square(totals)
+    if check and not np.isfinite(squares).all():
+        block = np.argwhere(~np.isfinite(squares))[0][1]
+        raise NumericalDegeneracyError(
+            f"excess-noise variance overflows: total noise ({totals[0, block]:.6g}, "
+            f"{totals[1, block]:.6g}) is too large to square")
+    var = _transmissivity_variances(tau, v_m, totals, m)
+    mixed = np.where(tau == 0.0, 0.0, var[:, 0] * var[:, 1] / (var[:, 0] + var[:, 1]))
+    if check and np.isnan(mixed).any():
+        raise DomainError(_DISORDERED)
+    return np.concatenate([mixed, 2.0 * squares / m])
+
+
+def _bounds(tau: np.ndarray, excess: np.ndarray, spreads: np.ndarray, z: float):
+    """Worst-case bounds tau_low = clip(tau - z sigma, 0, 1) and excess_up =
+    excess + z sigma, each (2, k), from spreads (4, k), and a mask (k,) of
+    the blocks whose bounds are in order.  A NaN bound stays NaN, and so is
+    out of order."""
+    low = tau - z * spreads[:2]
+    low = np.where(0.0 > low, 0.0, low)
+    tau_low = np.where(1.0 < low, 1.0, low)
+    excess_up = excess + z * spreads[2:]
+    return tau_low, excess_up, ((tau_low <= tau) & (excess_up >= excess)).all(axis=0)
 
 
 def _transmissivities(moments: np.ndarray, m: int, v_m: float):
@@ -215,21 +254,7 @@ def _estimate(moments: np.ndarray, m: int, v_m: float):
     tau_b (2, k), excess_q and excess_p (2, k) and the spreads of all four."""
     covariances, per_quad, tau = _transmissivities(moments, m, v_m)
     excess = _residual_powers(moments, tau) - 1.0
-    totals = _plugin_totals(excess)
-    squares = totals ** 2
-    if not np.isfinite(squares).all():
-        block = np.argwhere(~np.isfinite(squares))[0][1]
-        raise NumericalDegeneracyError(
-            f"excess-noise variance overflows: total noise ({totals[0, block]:.6g}, "
-            f"{totals[1, block]:.6g}) is too large to square")
-    var = _transmissivity_variances(tau, v_m, totals, m)
-    spreads = np.sqrt(np.concatenate([_combined_variances(tau, var),
-                                      2.0 * squares / m]))
-    # With finite estimates, EstimationReport's bounds are out of order at
-    # z > 0 only for a NaN spread: 0/0 or inf/inf in a combined variance.
-    if np.isnan(spreads).any():
-        raise DomainError("worst-case bounds must lie below the transmissivities "
-                          "and above the excess noise")
+    spreads = np.sqrt(_variances(tau, _plugin_totals(excess), v_m, m))
     return covariances, per_quad, tau, excess, spreads
 
 
@@ -281,38 +306,6 @@ def estimate_excess_noise(d: BlockMoments, tau_a_hat: float,
                   - 1.0).tolist())
 
 
-def transmissivity_variance(tau_a: float, tau_b: float, v_m: float,
-                            noise: NoiseVars, m: int) -> tuple[float, float, float]:
-    """Analytic estimator variances (q, p, combined) for the first link.
-
-    Var = (8 tau_a / m)(tau_a + tau_b/2)[1 + total/((tau_a + tau_b/2) v_m)]
-    per quadrature; the combined value is the optimal inverse-variance mix
-    of the two.  Swap the transmissivity arguments for the second link.
-    """
-    if m < 1:
-        raise DomainError(f"sample count must be >= 1, got {m}")
-    _check_v_m(v_m)
-    if tau_a == 0.0:
-        return 0.0, 0.0, 0.0
-    weight = tau_a + 0.5 * tau_b
-    base = 8.0 * tau_a * weight / m
-    var_q = base * (1.0 + noise.total_q / (weight * v_m))
-    var_p = base * (1.0 + noise.total_p / (weight * v_m))
-    return var_q, var_p, var_q * var_p / (var_q + var_p)
-
-
-def excess_noise_variance(noise: NoiseVars, m: int) -> tuple[float, float]:
-    """Analytic variances (2/m) * total^2 of the excess-noise estimators."""
-    if m < 1:
-        raise DomainError(f"sample count must be >= 1, got {m}")
-    try:
-        return 2.0 * noise.total_q ** 2 / m, 2.0 * noise.total_p ** 2 / m
-    except OverflowError:
-        raise NumericalDegeneracyError(
-            f"excess-noise variance overflows: total noise ({noise.total_q:.6g}, "
-            f"{noise.total_p:.6g}) is too large to square") from None
-
-
 @np.errstate(all="ignore")
 def _parameter_bounds(tau_a: float, tau_b: float, noise: NoiseVars, v_m: np.ndarray,
                       m: np.ndarray, z: float):
@@ -320,25 +313,14 @@ def _parameter_bounds(tau_a: float, tau_b: float, noise: NoiseVars, v_m: np.ndar
     bitwise equal elementwise: tau_low (2, k), links a then b, excess_up
     (2, k), q then p, and a suspect mask (k,) marking every point where the
     scalar report raises (it may mark more).  m holds float(m)."""
-    try:
-        # excess_noise_variance's 2.0 * total ** 2, whose OverflowError the
-        # scalar report raises; here it leaves excess_up infinite
-        twice_squares = np.array([[2.0 * noise.total_q ** 2], [2.0 * noise.total_p ** 2]])
-    except OverflowError:
-        twice_squares = np.full((2, 1), math.inf)
     tau = np.array([[tau_a], [tau_b]])
-    excess = np.array([[noise.excess_q], [noise.excess_p]])
-    var = _transmissivity_variances(tau, v_m, np.array([[noise.total_q], [noise.total_p]]), m)
-    tau_std = np.sqrt(_combined_variances(tau, var))
-    # EstimationReport's min(max(x, 0.0), 1.0), NaN kept as Python keeps it
-    low = tau - z * tau_std
-    low = np.where(0.0 > low, 0.0, low)
-    tau_low = np.where(1.0 < low, 1.0, low)
-    excess_up = excess + z * np.sqrt(twice_squares / m)
+    totals = np.array([[noise.total_q], [noise.total_p]])
+    spreads = np.sqrt(_variances(tau, totals, v_m, m, check=False))
+    tau_low, excess_up, ordered = _bounds(
+        tau, np.array([[noise.excess_q], [noise.excess_p]]), spreads, z)
     suspect = ~((0.0 < v_m) & (v_m < math.inf)) | (not 0.0 <= z < math.inf)
-    suspect |= ~(np.isfinite(tau_std) & np.isfinite(excess_up)
-                 & (tau_low <= tau) & (excess_up >= excess)).all(axis=0)
-    return tau_low, excess_up, suspect
+    return tau_low, excess_up, suspect | ~(
+        ordered & np.isfinite(np.concatenate([spreads, excess_up])).all(axis=0))
 
 
 @dataclass(frozen=True)
@@ -364,6 +346,7 @@ class EstimationReport:
     excess_q_up: float = field(init=False)
     excess_p_up: float = field(init=False)
 
+    @np.errstate(all="ignore")
     def __post_init__(self):
         stds = (self.tau_a_std, self.tau_b_std, self.excess_q_std, self.excess_p_std)
         if min(stds) < 0.0:
@@ -371,19 +354,14 @@ class EstimationReport:
         z = self.z
         if not 0.0 <= z < math.inf:
             raise DomainError(f"z (confidence multiplier) must be finite and >= 0, got {z}")
-        bounds = {
-            "tau_a_low": min(max(self.tau_a - z * self.tau_a_std, 0.0), 1.0),
-            "tau_b_low": min(max(self.tau_b - z * self.tau_b_std, 0.0), 1.0),
-            "excess_q_up": self.excess_q + z * self.excess_q_std,
-            "excess_p_up": self.excess_p + z * self.excess_p_std,
-        }
-        for name, value in bounds.items():
+        tau_low, excess_up, ordered = _bounds(
+            np.array([[self.tau_a], [self.tau_b]]),
+            np.array([[self.excess_q], [self.excess_p]]), np.array(stds)[:, None], z)
+        for name, value in zip(("tau_a_low", "tau_b_low", "excess_q_up", "excess_p_up"),
+                               np.concatenate([tau_low, excess_up])[:, 0].tolist()):
             object.__setattr__(self, name, value)
-        if not (self.tau_a_low <= self.tau_a and self.tau_b_low <= self.tau_b
-                and self.excess_q_up >= self.excess_q
-                and self.excess_p_up >= self.excess_p):
-            raise DomainError("worst-case bounds must lie below the transmissivities "
-                              "and above the excess noise")
+        if not ordered[0]:
+            raise DomainError(_DISORDERED)
 
 
 def estimate_channel(d: BlockMoments, v_m: float, z: float = DEFAULT_Z) -> EstimationReport:
@@ -399,16 +377,23 @@ def estimate_channel(d: BlockMoments, v_m: float, z: float = DEFAULT_Z) -> Estim
                             std_q, std_p, z=z)
 
 
+@np.errstate(all="ignore")
 def report_from_parameters(tau_a: float, tau_b: float, noise: NoiseVars,
                            v_m: float, m: int, z: float = DEFAULT_Z) -> EstimationReport:
     """Analysis-mode report: true values with analytic spreads and bounds.
 
-    This is what a run over the given channel would report on average; it
-    powers figure-style curves without simulating data.
+    This is the rate's input at the true parameters with the spreads the
+    estimators would have there, a first-order prediction of a protocol
+    run, not its average: protocol-mode rates average lower (1.1 % at 2 dB
+    and n_bar = 1e6), since the rate is nonlinear in the bounds and the
+    excess-noise estimates are biased.  It powers figure-style curves
+    without simulating data.
     """
-    _, _, var_a = transmissivity_variance(tau_a, tau_b, v_m, noise, m)
-    _, _, var_b = transmissivity_variance(tau_b, tau_a, v_m, noise, m)
-    s_q_sq, s_p_sq = excess_noise_variance(noise, m)
-    return EstimationReport(
-        tau_a, tau_b, math.sqrt(var_a), math.sqrt(var_b),
-        noise.excess_q, noise.excess_p, math.sqrt(s_q_sq), math.sqrt(s_p_sq), z=z)
+    if m < 1:
+        raise DomainError(f"sample count must be >= 1, got {m}")
+    _check_v_m(v_m)
+    variances = _variances(np.array([[tau_a], [tau_b]]),
+                           np.array([[noise.total_q], [noise.total_p]]), v_m, m)
+    std_a, std_b, std_q, std_p = np.sqrt(variances)[:, 0].tolist()
+    return EstimationReport(tau_a, tau_b, std_a, std_b, noise.excess_q, noise.excess_p,
+                            std_q, std_p, z=z)

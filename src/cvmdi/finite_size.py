@@ -1,9 +1,12 @@
 """Finite-size key rate: block bookkeeping and the entropic penalty.
 
+The rate is (n/n_bar)(K_inf - penalty), with K_inf taken at the worst-case
+bounds of `estimation`'s one spreads-and-bounds stage.
 projected_key_rate, with finite_size_rate and report_from_parameters, is
 the scalar oracle for one analysis-mode point; projected_key_rates is the
-batch evaluator the optimizer runs on a whole search round, equal to the
-oracle bit for bit wherever it does not flag a point.
+batch evaluator the optimizer runs on a whole search round.  Both read the
+bounds off that stage, so the batch equals the oracle bit for bit wherever
+it does not flag a point.
 """
 
 from __future__ import annotations

@@ -113,8 +113,8 @@ def _qp_separable(v: np.ndarray) -> bool:
 
 
 def _separable_spectrum(v: np.ndarray) -> list[float]:
-    return list(separable_spectrum(v[0, 0], v[0, 2], v[2, 2],
-                                   v[1, 1], v[1, 3], v[3, 3]))
+    # Python floats, which overflow to inf without a numpy RuntimeWarning
+    return list(separable_spectrum(*v[(0, 0, 2, 1, 1, 3), (0, 2, 2, 1, 3, 3)].tolist()))
 
 
 def separable_spectrum(q11: float, q12: float, q22: float,

@@ -112,7 +112,7 @@ def _log_window(center: float, count: int, lo: float, hi: float,
     lo_l, hi_l = math.log10(lo), math.log10(hi)
     width = (hi_l - lo_l) / factor
     if width == 0.0:
-        return [lo]
+        return [center]
     start = min(max(math.log10(center) - width / 2.0, lo_l), hi_l - width)
     return [float(x) for x in np.logspace(start, start + width, count)]
 
@@ -121,7 +121,7 @@ def _linear_window(center: float, count: int, lo: float, hi: float,
                    factor: float) -> list[float]:
     width = (hi - lo) / factor
     if width == 0.0:
-        return [lo]
+        return [center]
     start = min(max(center - width / 2.0, lo), hi - width)
     return [float(x) for x in np.linspace(start, start + width, count)]
 
@@ -138,12 +138,17 @@ def _grid_refine(evaluate, axes, rounds: int):
     """
     if rounds < 0:
         raise ConfigurationError("need refinement_rounds >= 0")
+    try:
+        factors = [SHRINK ** k for k in range(rounds + 1)]
+    except OverflowError:
+        raise ConfigurationError(
+            f"refinement_rounds {rounds} is too large: the window shrink factor "
+            f"{SHRINK} ** {rounds} overflows") from None
     grids = [list(grid) for grid, _ in axes]
     trace: list[tuple[float, ...]] = []
     best: tuple[float, ...] | None = None
-    for round_index in range(rounds + 1):
+    for round_index, factor in enumerate(factors):
         if round_index > 0:
-            factor = SHRINK ** round_index
             grids = [window(center, len(grid), min(grid), max(grid), factor)
                      for (grid, window), center in zip(axes, best[1:])]
         points = list(itertools.product(*grids))

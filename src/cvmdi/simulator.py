@@ -52,10 +52,10 @@ from .errors import DomainError
 from .estimation import (
     _estimate,
     _residual_powers,
+    _transmissivity_variances,
+    _variances,
     BlockMoments,
-    excess_noise_variance,
     QuadratureDataset,
-    transmissivity_variance,
 )
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -231,13 +231,14 @@ class TrialStatistics:
         }
 
 
+@np.errstate(all="ignore")
 def _expected_statistics(channel: ChannelParams, noise: NoiseVars,
                          v_m: float, m: int) -> dict[str, float]:
-    var_aq, var_ap, var_a = transmissivity_variance(
-        channel.tau_a, channel.tau_b, v_m, noise, m)
-    var_bq, var_bp, var_b = transmissivity_variance(
-        channel.tau_b, channel.tau_a, v_m, noise, m)
-    s_q_sq, s_p_sq = excess_noise_variance(noise, m)
+    tau = np.array([[channel.tau_a], [channel.tau_b]])
+    totals = np.array([[noise.total_q], [noise.total_p]])
+    (var_aq, var_ap), (var_bq, var_bp) = \
+        _transmissivity_variances(tau, v_m, totals, m)[..., 0].tolist()
+    var_a, var_b, s_q_sq, s_p_sq = _variances(tau, totals, v_m, m)[:, 0].tolist()
     c_a = math.sqrt(channel.tau_a / 2.0) * v_m
     c_b = math.sqrt(channel.tau_b / 2.0) * v_m
     return {

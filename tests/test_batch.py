@@ -19,6 +19,7 @@ from cvmdi import (
     ChannelParams,
     CVMDIError,
     db_to_transmissivity,
+    DomainError,
     FiniteSizeParams,
     noise_from_attack,
     optimize_asymptotic,
@@ -261,9 +262,9 @@ class TestKInfinityMonotoneInTransmissivity:
 
 @st.composite
 def report_cases(draw):
-    # transmissivities 0 or above 1e-6: below, the spread formulas underflow
-    # to 0/0, which the scalar report meets with ZeroDivisionError
-    tau = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    # transmissivities down to the smallest subnormal, where both quadrature
+    # variances of a link underflow to 0 and their mix is NaN
+    tau = st.one_of(st.just(0.0), st.floats(5e-324, 1.0), log_floats(-323.3, -150.0))
     channel = make_channel(draw(st.sampled_from(ATTACKS)), draw(tau), draw(tau),
                            draw(omegas), draw(omegas))
     return (channel.tau_a, channel.tau_b, noise_from_attack(channel),
@@ -271,15 +272,24 @@ def report_cases(draw):
             draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6))))
 
 
+NAN_SPREAD = (DomainError, "worst-case bounds must lie below the transmissivities "
+              "and above the excess noise")
+
+
 class TestWorstCaseOrdering:
     """tau_low <= tau and excess_up >= excess for every z >= 0; a report
-    whose bounds are out of order raises, and the batch flags it."""
+    with a NaN spread raises, and the batch flags exactly those points."""
 
     @settings(max_examples=150, deadline=None)
     @given(report_cases())
     def test_scalar_oracle(self, drawn):
         tau_a, tau_b, noise, v_m, m, z = drawn
-        report = report_from_parameters(tau_a, tau_b, noise, v_m, m, z=z)
+        try:
+            report = report_from_parameters(tau_a, tau_b, noise, v_m, m, z=z)
+        except DomainError as exc:
+            assert (type(exc), str(exc)) == NAN_SPREAD
+            assert any(0.0 < tau < 1e-150 for tau in (tau_a, tau_b))
+            return
         assert report.tau_a_low <= report.tau_a and report.tau_b_low <= report.tau_b
         assert report.excess_q_up >= report.excess_q
         assert report.excess_p_up >= report.excess_p
@@ -290,7 +300,9 @@ class TestWorstCaseOrdering:
         tau_a, tau_b, noise, v_m, m, z = drawn
         tau_low, excess_up, suspect = _parameter_bounds(
             tau_a, tau_b, noise, np.array([v_m]), np.array([float(m)]), z)
-        assert not suspect.any()
-        assert (tau_low[:, 0] <= (tau_a, tau_b)).all()
-        assert (excess_up[:, 0] >= (noise.excess_q, noise.excess_p)).all()
-
+        report = outcome(lambda: [report_from_parameters(tau_a, tau_b, noise, v_m, m,
+                                                         z=z).tau_a_low])
+        assert suspect[0] == (report == NAN_SPREAD)
+        if not suspect[0]:
+            assert (tau_low[:, 0] <= (tau_a, tau_b)).all()
+            assert (excess_up[:, 0] >= (noise.excess_q, noise.excess_p)).all()

@@ -457,10 +457,30 @@ class TestBadInput:
         (("optimize", "--mode", "protocol", "--n-bar", "1e4", "--seed", "-1"), "seed"),
         (("simulate", "--tau-b", "0.5", "--m", "1e25", "--trials", "2"),
          "samples per trial"),
+        (("rate", "--refinement-rounds", "600"), "refinement_rounds"),
     ])
     def test_invalid_number_exits_two_naming_it(self, capsys, argv, name):
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {name} ")
+
+    @pytest.mark.parametrize("argv", [
+        ("rate", "--tau-a", "5e-324", "--bob-db", "2", "--n-bar", "1e9"),
+        ("rate", "--tau-b", "1e-320", "--n-bar", "1e6"),
+        ("optimize", "--tau-a", "1e-320", "--n-bar", "1e6"),
+        ("sweep", "--tau-a", "1e-320", "--bob-db", "2", "--n-bar", "1e6"),
+        ("simulate", "--tau-a", "1e-320", "--bob-db", "2", "--trials", "10"),
+    ])
+    def test_subnormal_transmissivity_exits_two(self, capsys, argv):
+        # the link's quadrature variances underflow to 0, and their mix is 0/0
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("error: worst-case bounds must lie below")
+
+    def test_overflowing_attack_is_unphysical(self, capsys):
+        # the ancilla matrix's spectrum overflows to NaN in Python floats,
+        # without a numpy RuntimeWarning
+        assert run_cli("rate", "--omega-a", "1e308") == 3
+        assert capsys.readouterr().err.startswith(
+            "error: attack covariance matrix is unphysical")
 
     def test_overflowing_noise_estimate_exits_three(self, capsys):
         # the estimated excess noise at v_m = 1e300 is too large to square

@@ -14,7 +14,6 @@ from cvmdi import (
     estimate_excess_noise,
     estimate_transmissivities,
     EstimationReport,
-    excess_noise_variance,
     noise_from_attack,
     NoiseVars,
     NumericalDegeneracyError,
@@ -23,8 +22,8 @@ from cvmdi import (
     sample_dataset,
     SimulationSpec,
     transmissivities_per_quadrature,
-    transmissivity_variance,
 )
+from cvmdi.estimation import _transmissivity_variances, _variances
 from cvmdi.simulator import _tracked_values
 
 PURE_LOSS = NoiseVars(0.0, 0.0)
@@ -66,6 +65,21 @@ def ref_excess_noise(d, tau_a, tau_b):
     return float(res_q @ res_q) / d.m - 1.0, float(res_p @ res_p) / d.m - 1.0
 
 
+def ref_transmissivity_variance(tau_a, tau_b, v_m, noise, m):
+    """Closed-form (q, p, combined) variances of the first link's estimate."""
+    if tau_a == 0.0:
+        return 0.0, 0.0, 0.0
+    weight = tau_a + 0.5 * tau_b
+    base = 8.0 * tau_a * weight / m
+    var_q = base * (1.0 + noise.total_q / (weight * v_m))
+    var_p = base * (1.0 + noise.total_p / (weight * v_m))
+    return var_q, var_p, var_q * var_p / (var_q + var_p)
+
+
+def ref_excess_noise_variance(noise, m):
+    return 2.0 * noise.total_q ** 2 / m, 2.0 * noise.total_p ** 2 / m
+
+
 def ref_estimate_channel(d, v_m):
     def plugin(excess):
         return NoiseVars(*(max(e, 1e-12 - 1.0) for e in excess))
@@ -77,13 +91,13 @@ def ref_estimate_channel(d, v_m):
     ta_q, ta_p, tb_q, tb_p = ref_per_quadrature(d, v_m)
     ta0, tb0 = 0.5 * (ta_q + ta_p), 0.5 * (tb_q + tb_p)
     noise = plugin(ref_excess_noise(d, ta0, tb0))
-    tau_a = combine(ta_q, ta_p, transmissivity_variance(ta0, tb0, v_m, noise, d.m))
-    tau_b = combine(tb_q, tb_p, transmissivity_variance(tb0, ta0, v_m, noise, d.m))
+    tau_a = combine(ta_q, ta_p, ref_transmissivity_variance(ta0, tb0, v_m, noise, d.m))
+    tau_b = combine(tb_q, tb_p, ref_transmissivity_variance(tb0, ta0, v_m, noise, d.m))
     excess = ref_excess_noise(d, tau_a, tau_b)
     noise = plugin(excess)
-    var_a = transmissivity_variance(tau_a, tau_b, v_m, noise, d.m)[2]
-    var_b = transmissivity_variance(tau_b, tau_a, v_m, noise, d.m)[2]
-    s_q_sq, s_p_sq = excess_noise_variance(noise, d.m)
+    var_a = ref_transmissivity_variance(tau_a, tau_b, v_m, noise, d.m)[2]
+    var_b = ref_transmissivity_variance(tau_b, tau_a, v_m, noise, d.m)[2]
+    s_q_sq, s_p_sq = ref_excess_noise_variance(noise, d.m)
     return EstimationReport(
         tau_a, tau_b, math.sqrt(var_a), math.sqrt(var_b), *excess,
         math.sqrt(s_q_sq), math.sqrt(s_p_sq))
@@ -276,39 +290,58 @@ class TestEstimateExcessNoise:
             estimate_excess_noise(d, *taus)
 
 
+@np.errstate(all="ignore")
+def stage(tau_a, tau_b, noise, v_m, m):
+    """The spreads stage at one point: per-quadrature variances (2, 2), link
+    then quadrature, and the variances of tau_a, tau_b, excess_q, excess_p."""
+    tau = np.array([[tau_a], [tau_b]])
+    totals = np.array([[noise.total_q], [noise.total_p]])
+    return (_transmissivity_variances(tau, v_m, totals, m)[..., 0].tolist(),
+            _variances(tau, totals, v_m, m)[:, 0].tolist())
+
+
 class TestTransmissivityVariance:
     def test_zero_transmissivity(self):
-        assert transmissivity_variance(0.0, 0.5, 10.0, PURE_LOSS, 100) == (0.0, 0.0, 0.0)
+        (per_quad_a, _), (var_a, *_) = stage(0.0, 0.5, PURE_LOSS, 10.0, 100)
+        assert (*per_quad_a, var_a) == (0.0, 0.0, 0.0)
+        assert report_from_parameters(0.0, 0.5, PURE_LOSS, 10.0, 100).tau_a_std == 0.0
 
     def test_reference_value(self):
         # 7.84 * 1.23 * (1 + 1/12.3) / 1e5
-        var_q, var_p, _ = transmissivity_variance(0.98, 0.5, 10.0, PURE_LOSS, 10**5)
+        (var_q, var_p), _ = stage(0.98, 0.5, PURE_LOSS, 10.0, 10**5)[0]
         assert var_q == pytest.approx(1.042718e-4, rel=1e-5)
         assert var_p == var_q
 
     def test_combined_is_half_when_symmetric(self):
-        var_q, var_p, var_c = transmissivity_variance(0.8, 0.3, 8.0, PURE_LOSS, 1000)
+        ((var_q, var_p), _), (var_c, *_) = stage(0.8, 0.3, PURE_LOSS, 8.0, 1000)
         assert var_q == var_p
         assert var_c == pytest.approx(var_q / 2.0)
 
     def test_asymmetric_noise_shifts_combination(self):
-        noise = NoiseVars(0.5, 0.0)
-        var_q, var_p, var_c = transmissivity_variance(0.8, 0.3, 8.0, noise, 1000)
+        ((var_q, var_p), _), (var_c, *_) = stage(0.8, 0.3, NoiseVars(0.5, 0.0), 8.0, 1000)
         assert var_q > var_p
         assert var_c == pytest.approx(var_q * var_p / (var_q + var_p))
+
+    @pytest.mark.parametrize("taus", [(5e-324, 0.63), (0.63, 1e-320), (1e-200, 1e-200)])
+    def test_underflowing_mix_is_a_domain_error(self, taus):
+        # both quadrature variances underflow to 0, so their mix is 0/0
+        with pytest.raises(DomainError, match="worst-case bounds must lie below"):
+            report_from_parameters(*taus, PURE_LOSS, 10.0, 10**6)
 
 
 class TestExcessNoiseVariance:
     def test_unit_total_two_samples(self):
-        assert excess_noise_variance(PURE_LOSS, 2) == (1.0, 1.0)
+        assert stage(0.5, 0.5, PURE_LOSS, 10.0, 2)[1][2:] == [1.0, 1.0]
+        report = report_from_parameters(0.5, 0.5, PURE_LOSS, 10.0, 2)
+        assert (report.excess_q_std, report.excess_p_std) == (1.0, 1.0)
 
     def test_reference_value(self):
-        s_q_sq, _ = excess_noise_variance(NoiseVars(0.02, 0.02), 10**6)
+        s_q_sq = stage(0.5, 0.5, NoiseVars(0.02, 0.02), 10.0, 10**6)[1][2]
         assert s_q_sq == pytest.approx(2.0808e-6, rel=1e-6)
 
     def test_total_too_large_to_square_is_typed(self):
         with pytest.raises(NumericalDegeneracyError, match="overflows"):
-            excess_noise_variance(NoiseVars(1e300, 0.0), 10)
+            report_from_parameters(0.5, 0.5, NoiseVars(1e300, 0.0), 10.0, 10)
 
 
 class TestWorstCase:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from cvmdi import (
     projected_key_rate,
     ProtocolParams,
 )
+from cvmdi.optimizer import _linear_window, _log_window
 
 CHANNEL = ChannelParams.two_mode_optimal(0.98, db_to_transmissivity(2.0), 1.01, 1.01)
 
@@ -112,3 +115,22 @@ class TestOptimizeAsymptotic:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
             optimize_asymptotic(CHANNEL, 0.98, ())
+
+
+class TestRefinementWindows:
+    @pytest.mark.parametrize("window, center, lo, hi", [
+        (_log_window, 30.0, 1.0, 1e3),
+        (_linear_window, 0.7, 0.1, 0.9),
+        (_log_window, 5.0, 5.0, 5.0),
+    ])
+    def test_zero_width_window_keeps_the_incumbent(self, window, center, lo, hi):
+        # a factor past the hull's width, or a one-point hull, leaves no width
+        assert window(center, 9, lo, hi, math.inf) == [center]
+
+    def test_overflowing_shrink_factor_is_a_configuration_error(self):
+        # 4.0 ** 512 overflows a float
+        optimize_asymptotic(CHANNEL, 0.98, (1.0, 10.0), refinement_rounds=511)
+        for search in (lambda: optimize_asymptotic(CHANNEL, 0.98, refinement_rounds=512),
+                       lambda: optimize_key_rate(small_spec(refinement_rounds=10**6))):
+            with pytest.raises(ConfigurationError, match="refinement_rounds .* too large"):
+                search()
