@@ -35,7 +35,7 @@ from .errors import (
 )
 from .estimation import report_from_parameters
 from .finite_size import finite_size_rate, FiniteSizeParams
-from .keyrate import key_rate_breakdown, ProtocolParams, RateBreakdown
+from .keyrate import asymptotic_key_rate, key_rate_breakdown, ProtocolParams
 from .optimizer import (
     default_r_grid,
     default_v_m_grid,
@@ -216,22 +216,20 @@ def _finite_spec(args, channel: ChannelParams, n_bar: int, v_m: float | None = N
     )
 
 
-def _asymptotic(args, channel: ChannelParams) -> tuple[float, RateBreakdown]:
-    """(v_m, rate breakdown) at --v-m, or at the v_m that maximizes K_inf."""
-    v_m = args.v_m
-    if v_m is None:
-        v_m, _, _ = optimize_asymptotic(
-            channel, args.xi, tuple(_parse_log_axis(args.v_m_grid, "v-m")),
-            args.refinement_rounds)
-    return v_m, key_rate_breakdown(ProtocolParams(v_m, args.xi), channel.tau_a,
-                                   channel.tau_b, noise_from_attack(channel))
+def _asymptotic_search(args, channel: ChannelParams) -> tuple[float, float, list]:
+    """(v_m, K_inf, trace) of the search for the v_m that maximizes K_inf."""
+    return optimize_asymptotic(channel, args.xi,
+                               tuple(_parse_log_axis(args.v_m_grid, "v-m")),
+                               args.refinement_rounds)
 
 
 def cmd_rate(args) -> int:
     channel = _single_channel(args)
     noise = noise_from_attack(channel)
     config = _config_dict(args)
-    v_m_star, asym = _asymptotic(args, channel)
+    v_m_star = args.v_m if args.v_m is not None else _asymptotic_search(args, channel)[0]
+    asym = key_rate_breakdown(ProtocolParams(v_m_star, args.xi), channel.tau_a,
+                              channel.tau_b, noise)
 
     finite = None
     no_positive = asym.k_infinity <= 0.0
@@ -290,7 +288,10 @@ def cmd_sweep(args) -> int:
     for db in db_values:
         tau = db_to_transmissivity(db)
         channel = _channel_for(args, tau if symmetric else args.tau_a, tau)
-        k_asym = _asymptotic(args, channel)[1].k_infinity
+        # the search's value at its optimum is K_inf there, bit for bit
+        k_asym = (_asymptotic_search(args, channel)[1] if args.v_m is None
+                  else asymptotic_key_rate(ProtocolParams(args.v_m, args.xi), channel.tau_a,
+                                           channel.tau_b, noise_from_attack(channel)))
         results = [optimize_key_rate(_finite_spec(args, channel, n_bar))
                    for n_bar in n_bars]
         finite_rates = [result.rate for result in results]

@@ -27,7 +27,9 @@ Ruppert et al. (PRA 90, 062310, 2014), tau_low = clip(tau - z sigma, 0, 1)
 and excess_up = excess + z sigma.  Protocol mode evaluates the stage at
 the estimates, analysis mode at the true parameters:
 `report_from_parameters` for one point, and `_parameter_bounds` for a
-whole optimizer round, flagging the points where the report raises.
+whole optimizer round, raising if and only if the report raises at some
+point.  The stage raises the typed error of the first block or point that
+fails a check.
 """
 
 from __future__ import annotations
@@ -189,45 +191,51 @@ def _transmissivity_variances(tau: np.ndarray, v_m: float, totals: np.ndarray,
     return np.where((tau == 0.0)[:, None], 0.0, variances)
 
 
-_DISORDERED = ("worst-case bounds must lie below the transmissivities "
-               "and above the excess noise")
-
-
-def _variances(tau: np.ndarray, totals: np.ndarray, v_m, m, check: bool = True):
+def _variances(tau: np.ndarray, totals: np.ndarray, v_m, m):
     """Analytic variances, shape (4, k), of the estimates of tau_a, tau_b,
     excess_q and excess_p at transmissivities tau (2, k) and total noise
     (2, k): each link's inverse-variance mix q p / (q + p) of
     _transmissivity_variances, 0 at tau = 0, then 2 T^2 / m, with T^2
     numpy's correctly rounded square.  Their square roots are the spreads.
 
-    With check, raises NumericalDegeneracyError where a total noise is too
-    large to square, and DomainError for a NaN variance (0/0 or inf/inf in
-    a mix, as a subnormal transmissivity gives), with which the bounds would
-    be out of order at any z.
+    Raises NumericalDegeneracyError where a total noise is too large to
+    square, and DomainError where a link's mix is NaN: its two quadrature
+    variances underflow to 0 (a subnormal transmissivity) or overflow to
+    inf (a subnormal v_m), and their mix is 0/0 or inf/inf.
     """
     squares = np.square(totals)
-    if check and not np.isfinite(squares).all():
+    if not np.isfinite(squares).all():
         block = np.argwhere(~np.isfinite(squares))[0][1]
         raise NumericalDegeneracyError(
             f"excess-noise variance overflows: total noise ({totals[0, block]:.6g}, "
             f"{totals[1, block]:.6g}) is too large to square")
     var = _transmissivity_variances(tau, v_m, totals, m)
     mixed = np.where(tau == 0.0, 0.0, var[:, 0] * var[:, 1] / (var[:, 0] + var[:, 1]))
-    if check and np.isnan(mixed).any():
-        raise DomainError(_DISORDERED)
+    if np.isnan(mixed).any():
+        link, block = np.argwhere(np.isnan(mixed))[0]
+        raise DomainError(
+            f"tau_{'ab'[link]} spread is undefined: at tau_{'ab'[link]} = "
+            f"{np.broadcast_to(tau, mixed.shape)[link, block].item()} and v_m = "
+            f"{np.broadcast_to(v_m, mixed.shape[1:])[block].item()} its two quadrature "
+            "variances underflow to 0 or overflow to inf")
     return np.concatenate([mixed, 2.0 * squares / m])
 
 
 def _bounds(tau: np.ndarray, excess: np.ndarray, spreads: np.ndarray, z: float):
     """Worst-case bounds tau_low = clip(tau - z sigma, 0, 1) and excess_up =
-    excess + z sigma, each (2, k), from spreads (4, k), and a mask (k,) of
-    the blocks whose bounds are in order.  A NaN bound stays NaN, and so is
-    out of order."""
+    excess + z sigma, each (2, k), from spreads (4, k).  Raises DomainError
+    for a z that is not finite and >= 0, and where some bound is out of
+    order; a NaN bound stays NaN, and so is out of order."""
+    if not 0.0 <= z < math.inf:
+        raise DomainError(f"z (confidence multiplier) must be finite and >= 0, got {z}")
     low = tau - z * spreads[:2]
     low = np.where(0.0 > low, 0.0, low)
     tau_low = np.where(1.0 < low, 1.0, low)
     excess_up = excess + z * spreads[2:]
-    return tau_low, excess_up, ((tau_low <= tau) & (excess_up >= excess)).all(axis=0)
+    if not ((tau_low <= tau) & (excess_up >= excess)).all():
+        raise DomainError("worst-case bounds must lie below the transmissivities "
+                          "and above the excess noise")
+    return tau_low, excess_up
 
 
 def _transmissivities(moments: np.ndarray, m: int, v_m: float):
@@ -310,17 +318,15 @@ def estimate_excess_noise(d: BlockMoments, tau_a_hat: float,
 def _parameter_bounds(tau_a: float, tau_b: float, noise: NoiseVars, v_m: np.ndarray,
                       m: np.ndarray, z: float):
     """report_from_parameters' worst-case bounds at arrays v_m and m (k,),
-    bitwise equal elementwise: tau_low (2, k), links a then b, excess_up
-    (2, k), q then p, and a suspect mask (k,) marking every point where the
-    scalar report raises (it may mark more).  m holds float(m)."""
+    bitwise equal elementwise: tau_low (2, k), links a then b, and
+    excess_up (2, k), q then p.  Raises if and only if the report raises at
+    some point, with the error of the first point that fails the earliest
+    check.  m holds float(m), with m >= 1."""
+    # the first v_m that _check_v_m rejects, or a valid one
+    _check_v_m(v_m[np.argmin((0.0 < v_m) & (v_m < math.inf))].item())
     tau = np.array([[tau_a], [tau_b]])
-    totals = np.array([[noise.total_q], [noise.total_p]])
-    spreads = np.sqrt(_variances(tau, totals, v_m, m, check=False))
-    tau_low, excess_up, ordered = _bounds(
-        tau, np.array([[noise.excess_q], [noise.excess_p]]), spreads, z)
-    suspect = ~((0.0 < v_m) & (v_m < math.inf)) | (not 0.0 <= z < math.inf)
-    return tau_low, excess_up, suspect | ~(
-        ordered & np.isfinite(np.concatenate([spreads, excess_up])).all(axis=0))
+    spreads = np.sqrt(_variances(tau, np.array([[noise.total_q], [noise.total_p]]), v_m, m))
+    return _bounds(tau, np.array([[noise.excess_q], [noise.excess_p]]), spreads, z)
 
 
 @dataclass(frozen=True)
@@ -351,17 +357,12 @@ class EstimationReport:
         stds = (self.tau_a_std, self.tau_b_std, self.excess_q_std, self.excess_p_std)
         if min(stds) < 0.0:
             raise DomainError("standard deviations must be >= 0")
-        z = self.z
-        if not 0.0 <= z < math.inf:
-            raise DomainError(f"z (confidence multiplier) must be finite and >= 0, got {z}")
-        tau_low, excess_up, ordered = _bounds(
+        tau_low, excess_up = _bounds(
             np.array([[self.tau_a], [self.tau_b]]),
-            np.array([[self.excess_q], [self.excess_p]]), np.array(stds)[:, None], z)
+            np.array([[self.excess_q], [self.excess_p]]), np.array(stds)[:, None], self.z)
         for name, value in zip(("tau_a_low", "tau_b_low", "excess_q_up", "excess_p_up"),
                                np.concatenate([tau_low, excess_up])[:, 0].tolist()):
             object.__setattr__(self, name, value)
-        if not ordered[0]:
-            raise DomainError(_DISORDERED)
 
 
 def estimate_channel(d: BlockMoments, v_m: float, z: float = DEFAULT_Z) -> EstimationReport:

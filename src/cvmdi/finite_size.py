@@ -5,8 +5,9 @@ bounds of `estimation`'s one spreads-and-bounds stage.
 projected_key_rate, with finite_size_rate and report_from_parameters, is
 the scalar oracle for one analysis-mode point; projected_key_rates is the
 batch evaluator the optimizer runs on a whole search round.  Both read the
-bounds off that stage, so the batch equals the oracle bit for bit wherever
-it does not flag a point.
+bounds off that stage and K_inf off keyrate's one kernel, so the batch
+equals the oracle bit for bit, and it raises if and only if the oracle
+raises at some point of the round.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, NoiseVars, noise_from_attack
-from .errors import CVMDIError, DomainError
+from .errors import DomainError
 from .estimation import (_parameter_bounds, DEFAULT_Z, EstimationReport,
                          report_from_parameters)
 from .keyrate import key_rate_batch, key_rate_breakdown, ProtocolParams, RateBreakdown
@@ -135,34 +136,28 @@ def projected_key_rate(protocol: ProtocolParams, channel: ChannelParams,
     return finite_size_key_rate(protocol, report, fs, delta_prefactor)
 
 
-@np.errstate(all="ignore")
 def projected_key_rates(points, tau_a: float, tau_b: float, noise: NoiseVars,
                         xi: float, n_bar: int, z: float = DEFAULT_Z,
                         eps_pa: float = DEFAULT_EPS_PA,
-                        delta_prefactor: float = DEFAULT_DELTA_PREFACTOR):
+                        delta_prefactor: float = DEFAULT_DELTA_PREFACTOR) -> np.ndarray:
     """projected_key_rate over a list of (v_m, ratio) points on one channel.
 
-    Returns (rates, suspect), arrays over the points.  suspect marks every
-    point where the scalar oracle raises, and may mark more; every other
-    rate is bitwise the oracle's.  The block split and the penalty run in
-    Python per distinct ratio, so block sizes past 2**53 split as the
-    oracle splits them; the rest is one array pass.
+    Returns the rates, an array over the points, each bitwise the oracle's.
+    Raises if and only if the oracle raises at some point, though the error
+    may be another point's.  The block split and the penalty run in Python
+    per distinct ratio, so block sizes past 2**53 split as the oracle splits
+    them; the rest is one array pass.
     """
     v_m, ratios = zip(*points)
     distinct: dict[float, int] = {}
     which = [distinct.setdefault(ratio, len(distinct)) for ratio in ratios]
-    try:
-        splits = []
-        for ratio in distinct:
-            fs = FiniteSizeParams.from_ratio(n_bar, ratio, eps_pa=eps_pa)
-            splits.append((float(fs.m), fs.ratio,
-                           finite_size_penalty(fs.n, eps_pa, delta_prefactor)))
-    except (CVMDIError, ArithmeticError):
-        # The oracle raises this, or an earlier error, in its own order.
-        return np.full(len(points), math.nan), np.ones(len(points), dtype=bool)
+    splits = []
+    for ratio in distinct:
+        fs = FiniteSizeParams.from_ratio(n_bar, ratio, eps_pa=eps_pa)
+        splits.append((float(fs.m), fs.ratio,
+                       finite_size_penalty(fs.n, eps_pa, delta_prefactor)))
     m, key_fraction, penalty = np.array(splits)[which].T
     v_m = np.array(v_m, dtype=float)
-    tau_low, excess_up, suspect = _parameter_bounds(tau_a, tau_b, noise, v_m, m, z)
-    k_infinity, unphysical = key_rate_batch(v_m, xi, *tau_low, *excess_up)
-    rates = key_fraction * (k_infinity - penalty)
-    return rates, suspect | unphysical | ~np.isfinite(rates)
+    tau_low, excess_up = _parameter_bounds(tau_a, tau_b, noise, v_m, m, z)
+    k_infinity = key_rate_batch(v_m, xi, *tau_low, *excess_up)[2]
+    return key_fraction * (k_infinity - penalty)

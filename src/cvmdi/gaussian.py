@@ -4,6 +4,12 @@ Covariance matrices are plain square ndarrays with quadratures interleaved
 as (q1, p1, q2, p2, ...) and vacuum variance 1.  A matrix is physical when
 every symplectic eigenvalue is >= 1; eigenvalues inside a 1e-9 band below 1
 are treated as rounding dust and clamped, anything lower is an error.
+
+The spectrum of a q/p-separable two-mode matrix (separable_spectra) and
+the entropy h(nu) (entropy_terms) are written once, over arrays of points,
+as the key-rate kernel evaluates them; the 4x4 route and entropy_term are
+their one-point calls.  Their checks raise the typed error of the first
+point that fails, with its values in the message.
 """
 
 from __future__ import annotations
@@ -43,23 +49,13 @@ def entropy_term(x: float) -> float:
 
     h(x) = ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2)
 
-    h(1) = 0 under the 0*log(0) = 0 convention and h(inf) = inf.  For large
-    x, h approaches log2(e*x/2); the form below needs no such asymptote, as
-    it stays within 2.1e-16 relative of h for x from 1e4 to 1e300.
+    h(1) = 0 under the 0*log(0) = 0 convention and h(inf) = inf; NaN gives
+    NaN.  This is entropy_terms on one point.
     """
     x = float(x)
     if x < 1.0:
         raise DomainError(f"symplectic eigenvalue must be >= 1, got {x}")
-    if x == 1.0:
-        return 0.0
-    if x == math.inf:
-        return math.inf
-    up = 0.5 * (x + 1.0)
-    down = 0.5 * (x - 1.0)
-    # The same h, rewritten as down * log2(1 + 1/down) + log2(up): the
-    # textbook difference of two ~(x/2) log2(x/2) terms loses about
-    # log10(x) digits to cancellation (1e-11 absolute near x = 1e4).
-    return down * math.log1p(1.0 / down) / _LN_2 + math.log2(up)
+    return entropy_terms(np.array([x])).item()
 
 
 def symplectic_eigenvalues(v) -> list[float]:
@@ -71,7 +67,7 @@ def symplectic_eigenvalues(v) -> list[float]:
     v = ensure_cov_matrix(v)
     dim = v.shape[0]
     if dim == 2:
-        return [_clamped_root(float(np.linalg.det(v)), scale=1.0)]
+        return [float(_clamped_root(np.linalg.det(v), scale=1.0))]
     if dim == 4:
         return _two_mode_spectrum(v)
     omega = symplectic_form(dim // 2)
@@ -79,31 +75,45 @@ def symplectic_eigenvalues(v) -> list[float]:
     return [float(x) for x in moduli[::2]]
 
 
-def _clamped_root(value: float, scale: float) -> float:
-    if value < 0.0:
-        if value < -PHYSICALITY_TOL * max(scale, 1.0):
-            raise NumericalDegeneracyError(
-                f"negative discriminant {value} beyond tolerance")
-        value = 0.0
-    return math.sqrt(value)
+def _raise_at_first(ok, error, template: str, *values) -> None:
+    """Raise error(template filled in with the values at the first point
+    where ok is False, as Python floats); ok and the values broadcast."""
+    if not ok.all():
+        ok, *values = np.broadcast_arrays(ok, *values)
+        first = np.argmin(ok)
+        raise error(template.format(*(value.flat[first].item() for value in values)))
+
+
+def _clamped_root(value, scale):
+    """Elementwise sqrt, with a negative value inside the band
+    PHYSICALITY_TOL * max(scale, 1) taken as 0 and one below it raising.
+    A NaN scale keeps its NaN, as Python's max(nan, 1.0) does, and so lets
+    every value through; a NaN value passes as NaN."""
+    value = np.asarray(value)
+    negative = value < 0.0
+    _raise_at_first(~(value < -PHYSICALITY_TOL * np.maximum(scale, 1.0)),
+                    NumericalDegeneracyError, "negative discriminant {} beyond tolerance",
+                    value)
+    return np.sqrt(np.where(negative, 0.0, value))
 
 
 def _two_mode_spectrum(v: np.ndarray) -> list[float]:
     if _qp_separable(v):
-        return _separable_spectrum(v)
+        hi, lo = separable_spectra(*v[(0, 0, 2, 1, 1, 3), (0, 2, 2, 1, 3, 3)])
+        return [hi.item(), lo.item()]
     det_a = float(np.linalg.det(v[:2, :2]))
     det_b = float(np.linalg.det(v[2:, 2:]))
     det_c = float(np.linalg.det(v[:2, 2:]))
     det_v = float(np.linalg.det(v))
     delta = det_a + det_b + 2.0 * det_c
-    root = _clamped_root(delta * delta - 4.0 * det_v, scale=delta * delta)
+    root = float(_clamped_root(delta * delta - 4.0 * det_v, scale=delta * delta))
     hi_sq = 0.5 * (delta + root)
     if hi_sq <= 0.0:
         raise NumericalDegeneracyError(f"two-mode invariant {delta} is not positive")
     # det V = (nu_hi * nu_lo)^2, so dividing sidesteps the cancellation that
     # (delta - root)/2 suffers when the two eigenvalues are far apart.
     lo_sq = det_v / hi_sq
-    return [math.sqrt(hi_sq), _clamped_root(lo_sq, scale=1.0)]
+    return [math.sqrt(hi_sq), float(_clamped_root(lo_sq, scale=1.0))]
 
 
 def _qp_separable(v: np.ndarray) -> bool:
@@ -112,45 +122,22 @@ def _qp_separable(v: np.ndarray) -> bool:
             and v[1, 2] == 0.0 and v[2, 3] == 0.0)
 
 
-def _separable_spectrum(v: np.ndarray) -> list[float]:
-    # Python floats, which overflow to inf without a numpy RuntimeWarning
-    return list(separable_spectrum(*v[(0, 0, 2, 1, 1, 3), (0, 2, 2, 1, 3, 3)].tolist()))
-
-
-def separable_spectrum(q11: float, q12: float, q22: float,
-                       p11: float, p12: float, p22: float) -> tuple[float, float]:
-    """Spectrum (hi, lo) of a q/p-separable two-mode matrix, without cancellation.
-
-    The arguments are the entries of the q block Vq = [[q11, q12], [q12, q22]]
-    and the p block Vp, mode 1 first.  For such matrices the squared
-    symplectic eigenvalues are the eigenvalues of Vq @ Vp.  Solving that 2x2
-    problem keeps the rounding error linear in machine precision even for
-    near-pure states, where the generic invariant formula loses half its
-    digits to the sqrt of a vanishing discriminant.
-    """
-    m11 = q11 * p11 + q12 * p12
-    m12 = q11 * p12 + q12 * p22
-    m21 = q12 * p11 + q22 * p12
-    m22 = q12 * p12 + q22 * p22
-    trace = m11 + m22
-    gap = m11 - m22
-    disc = gap * gap + 4.0 * m12 * m21
-    root = _clamped_root(disc, scale=trace * trace)
-    hi_sq = 0.5 * (trace + root)
-    if hi_sq <= 0.0:
-        raise NumericalDegeneracyError(f"two-mode trace {trace} is not positive")
-    det_m = (q11 * q22 - q12 * q12) * (p11 * p22 - p12 * p12)
-    lo_sq = det_m / hi_sq
-    return math.sqrt(hi_sq), _clamped_root(lo_sq, scale=1.0)
-
-
 @np.errstate(all="ignore")
 def separable_spectra(q11, q12, q22, p11, p12, p22):
-    """separable_spectrum over arrays of entries, bitwise equal elementwise.
+    """Spectra (hi, lo) of q/p-separable two-mode matrices, without cancellation.
 
-    Returns (hi, lo, suspect).  suspect marks every element where
-    separable_spectrum raises, plus NaN elements, whose outcome the caller's
-    own checks settle; elsewhere hi and lo are its values.
+    The arguments are arrays, or numpy scalars for one matrix, of the
+    entries of the q blocks Vq = [[q11, q12], [q12, q22]] and the p blocks
+    Vp, mode 1 first.  For such matrices the squared symplectic
+    eigenvalues are the eigenvalues of Vq @ Vp.  Solving that 2x2 problem
+    keeps the rounding error linear in machine precision even for
+    near-pure states, where the generic invariant formula loses half its
+    digits to the sqrt of a vanishing discriminant.  Overflow runs to inf
+    and NaN, as in Python floats, without a RuntimeWarning.
+
+    Raises NumericalDegeneracyError at the first matrix whose discriminant
+    is negative beyond the clamping band, then at the first whose trace is
+    not positive, then at the first whose lo^2 is; NaN passes.
     """
     m11 = q11 * p11 + q12 * p12
     m12 = q11 * p12 + q12 * p22
@@ -158,18 +145,11 @@ def separable_spectra(q11, q12, q22, p11, p12, p22):
     m22 = q12 * p12 + q22 * p22
     trace = m11 + m22
     gap = m11 - m22
-    disc = gap * gap + 4.0 * m12 * m21
-    # _clamped_root: a negative value inside the band becomes 0, one below it
-    # raises; the band scales by max(scale, 1.0), whose NaN it keeps.
-    scale = trace * trace
-    negative = disc < 0.0
-    suspect = negative & (disc < -PHYSICALITY_TOL * np.where(1.0 > scale, 1.0, scale))
-    hi_sq = 0.5 * (trace + np.sqrt(np.where(negative, 0.0, disc)))
-    suspect |= ~(hi_sq > 0.0)
+    hi_sq = 0.5 * (trace + _clamped_root(gap * gap + 4.0 * m12 * m21, scale=trace * trace))
+    _raise_at_first(~(hi_sq <= 0.0), NumericalDegeneracyError,
+                    "two-mode trace {} is not positive", trace)
     det_m = (q11 * q22 - q12 * q12) * (p11 * p22 - p12 * p12)
-    lo_sq = det_m / hi_sq
-    suspect |= lo_sq < -PHYSICALITY_TOL
-    return np.sqrt(hi_sq), np.sqrt(np.where(lo_sq < 0.0, 0.0, lo_sq)), suspect
+    return np.sqrt(hi_sq), _clamped_root(det_m / hi_sq, scale=1.0)
 
 
 def min_symplectic_eigenvalue(v) -> float:
@@ -190,38 +170,47 @@ def von_neumann_entropy(v) -> float:
     return spectrum_entropy(symplectic_eigenvalues(v))
 
 
+def _check_band(nus: np.ndarray) -> None:
+    """Raise PhysicalityError at the first eigenvalue below the clamping
+    band under 1, or NaN."""
+    _raise_at_first(nus >= 1.0 - PHYSICALITY_TOL, PhysicalityError,
+                    "unphysical covariance matrix: symplectic eigenvalue {:.12g} < 1", nus)
+
+
 def spectrum_entropy(nus) -> float:
     """Sum of h(nu) over a symplectic spectrum, in bits.
 
     Eigenvalues inside the clamping band below 1 contribute nothing; lower
     ones, and NaN, raise PhysicalityError.
     """
+    nus = np.asarray(nus, dtype=float)
+    _check_band(nus)
     total = 0.0
-    for nu in nus:
-        if not nu >= 1.0 - PHYSICALITY_TOL:
-            raise PhysicalityError(
-                f"unphysical covariance matrix: symplectic eigenvalue {nu:.12g} < 1")
-        if nu > 1.0:
-            total += entropy_term(nu)
+    for term in entropy_terms(nus).tolist():
+        total += term
     return total
 
 
 @np.errstate(all="ignore")
 def entropy_terms(nus: np.ndarray) -> np.ndarray:
-    """entropy_term over an array, bitwise equal elementwise, with 0 where
-    nu <= 1 or NaN, as spectrum_entropy counts the band below 1.
+    """h(nu) elementwise over a 1-D array, in bits, with 0 where nu <= 1
+    (spectrum_entropy's band below 1 included) and NaN kept.
 
-    The logs go through math, not numpy: numpy's SIMD log1p and log2 may
-    differ from the C library's by one ulp.  The caller checks the band.
+    h is rewritten as down * log2(1 + 1/down) + log2(up), with up = (x+1)/2
+    and down = (x-1)/2: the textbook difference of two ~(x/2) log2(x/2)
+    terms loses about log10(x) digits to cancellation (1e-11 absolute near
+    x = 1e4), and this form stays within 2.1e-16 relative of h for x from
+    1e4 to 1e300, with no asymptote.  The logs go through math, not numpy:
+    numpy's SIMD log1p and log2 may differ from the C library's by one ulp.
     """
-    live = nus > 1.0
-    x = np.where(live, nus, 2.0)
+    dead = nus <= 1.0
+    x = np.where(dead, 2.0, nus)
     up = 0.5 * (x + 1.0)
     down = 0.5 * (x - 1.0)
     log1p = np.fromiter(map(math.log1p, (1.0 / down).tolist()), float, len(x))
     log2 = np.fromiter(map(math.log2, up.tolist()), float, len(x))
     terms = np.where(x == math.inf, math.inf, down * log1p / _LN_2 + log2)
-    return np.where(live, terms, 0.0)
+    return np.where(dead, 0.0, terms)
 
 
 def tmsv_cm(mu: float) -> np.ndarray:

@@ -9,10 +9,11 @@ that case is reported through a flag, not an error.
 The search evaluates one round at a time.  In analysis mode a round is
 one batch call, finite_size.projected_key_rates for the finite-size rate
 and keyrate.key_rate_batch for K_inf, each bitwise equal to its scalar
-oracle (projected_key_rate, asymptotic_key_rate).  A round with a point
-the batch flags is replayed through the oracle point by point, so errors
-are the oracle's.  Protocol mode loops over its scalar objective, which
-draws one block per point.
+oracle (projected_key_rate, asymptotic_key_rate).  A batch raises if and
+only if the oracle raises at some point of the round; the round is then
+replayed through the oracle point by point, so errors are the oracle's.
+Protocol mode loops over its scalar objective, which draws one block per
+point.
 """
 
 from __future__ import annotations
@@ -166,9 +167,9 @@ def _cached_rounds(scalar, batch=None):
 
     scalar(index, *point) computes one point, index being the number of
     points computed before it.  batch, when given, takes a round's fresh
-    points and returns (rates, suspect) arrays; if it flags no point its
-    rates are kept, and otherwise scalar replays the round in row-major
-    order and so raises exactly what it raises.
+    points and returns their rates as an array, raising if scalar raises at
+    some point; then scalar replays the round in row-major order and so
+    raises exactly what it raises.
     """
     cache: dict[tuple[float, ...], float] = {}
 
@@ -176,9 +177,10 @@ def _cached_rounds(scalar, batch=None):
         if batch is not None:
             fresh = [point for point in dict.fromkeys(points) if point not in cache]
             if fresh:
-                rates, suspect = batch(fresh)
-                if not suspect.any():
-                    cache.update(zip(fresh, rates.tolist()))
+                try:
+                    cache.update(zip(fresh, batch(fresh).tolist()))
+                except (ValueError, ArithmeticError):
+                    pass  # every CVMDIError is one of these; the replay raises
         for point in points:
             if point not in cache:
                 cache[point] = scalar(len(cache), *point)
@@ -244,7 +246,7 @@ def optimize_asymptotic(channel: ChannelParams, xi: float,
 
     def batch(points):
         return key_rate_batch([v_m for v_m, in points], xi, channel.tau_a,
-                              channel.tau_b, noise.excess_q, noise.excess_p)
+                              channel.tau_b, noise.excess_q, noise.excess_p)[2]
 
     (rate, v_m), trace = _grid_refine(_cached_rounds(scalar, batch),
                                       ((grid, _log_window),), refinement_rounds)

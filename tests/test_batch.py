@@ -1,14 +1,16 @@
 """Analysis-mode batch evaluators against their scalar oracles.
 
 finite_size.projected_key_rates and keyrate.key_rate_batch evaluate a
-whole search round in one array pass.  Wherever they do not flag a point
-they must equal projected_key_rate and asymptotic_key_rate bit for bit,
-and they must flag every point where those raise.  The rate properties at
-the end run on both routes.
+whole search round in one array pass.  They must raise if and only if
+projected_key_rate or asymptotic_key_rate raises at some point of the
+round, and otherwise equal them at each point bit for bit.  The rate
+properties at the end run on both routes, and the kernel's I_AB, I_H and
+K_inf are checked against a 40-digit evaluation.
 """
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cvmdi import (
     asymptotic_key_rate,
     ChannelParams,
+    conditional_cms,
     CVMDIError,
     db_to_transmissivity,
     DomainError,
@@ -28,6 +31,7 @@ from cvmdi import (
     PhysicalityError,
     projected_key_rate,
     ProtocolParams,
+    key_rate_breakdown,
     report_from_parameters,
 )
 from cvmdi import optimizer
@@ -79,6 +83,18 @@ def outcome(fn):
         return type(exc), str(exc)
 
 
+def assert_raises_iff_a_point_raises(batch, per_point):
+    """batch is the outcome of a batch call and per_point the oracle's
+    outcome at each of its points: the batch raises, with an error the
+    optimizer replays, if and only if some point raises, and otherwise it
+    equals each point bit for bit."""
+    if any(isinstance(expected, tuple) for expected in per_point):
+        assert isinstance(batch, tuple) and issubclass(batch[0], (ValueError,
+                                                                 ArithmeticError))
+    else:
+        assert batch == [bits for expected in per_point for bits in expected]
+
+
 def oracle_rate(spec, v_m, ratio):
     protocol = ProtocolParams(v_m, spec.xi)
     fs = FiniteSizeParams.from_ratio(spec.n_bar, ratio, eps_pa=spec.eps_pa)
@@ -112,24 +128,23 @@ class TestRoundsMatchTheOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(rounds())
-    def test_flags_every_raising_point_and_matches_the_rest(self, drawn):
+    def test_raises_iff_a_point_raises_and_matches_the_rest(self, drawn):
         spec, points = drawn
-        rates, suspect = batch_rates(spec, points)
-        for point, rate, flagged in zip(points, rates.tolist(), suspect):
-            expected = outcome(lambda: [oracle_rate(spec, *point)])
-            assert flagged or [rate.hex()] == expected
+        assert_raises_iff_a_point_raises(
+            outcome(lambda: batch_rates(spec, points)),
+            [outcome(lambda: [oracle_rate(spec, *point)]) for point in points])
 
     @settings(max_examples=300, deadline=None)
     @given(channel=channels(), xi=st.floats(0.5, 1.0),
            v_ms=st.lists(log_floats(-2.0, 5.0), min_size=1, max_size=12))
     def test_k_infinity_matches_asymptotic_rate(self, channel, xi, v_ms):
         noise = noise_from_attack(channel)
-        rates, suspect = key_rate_batch(v_ms, xi, channel.tau_a, channel.tau_b,
-                                        noise.excess_q, noise.excess_p)
-        for v_m, rate, flagged in zip(v_ms, rates.tolist(), suspect):
-            expected = outcome(lambda: [asymptotic_key_rate(
-                ProtocolParams(v_m, xi), channel.tau_a, channel.tau_b, noise)])
-            assert flagged or [rate.hex()] == expected
+        assert_raises_iff_a_point_raises(
+            outcome(lambda: key_rate_batch(v_ms, xi, channel.tau_a, channel.tau_b,
+                                           noise.excess_q, noise.excess_p)[2]),
+            [outcome(lambda: [asymptotic_key_rate(ProtocolParams(v_m, xi), channel.tau_a,
+                                                  channel.tau_b, noise)])
+             for v_m in v_ms])
 
     @pytest.mark.parametrize("attack", ATTACKS)
     @pytest.mark.parametrize("db", [0.0, 2.0, 10.0, 20.0])
@@ -137,7 +152,9 @@ class TestRoundsMatchTheOracle:
         channel = make_channel(attack, 0.95, db_to_transmissivity(db), 1.02, 1.03)
         spec = OptimizationSpec(channel=channel, xi=0.95, n_bar=10**6)
         points = list(itertools.product(spec.v_m_grid, spec.r_grid))
-        assert not batch_rates(spec, points)[1].any()
+        # a raising batch would send the round to the point-by-point replay
+        assert [rate.hex() for rate in batch_rates(spec, points).tolist()] == [
+            oracle_rate(spec, *point).hex() for point in points]
 
     def test_analysis_search_calls_no_scalar_oracle(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -162,9 +179,8 @@ class TestRoundsMatchTheOracle:
         channel = ChannelParams.collective(0.97, 0.6, 1.01, 1.02)
         spec = OptimizationSpec(channel=channel, xi=0.97, n_bar=10**20 + 7)
         points = [(30.0, 0.3), (30.0, 0.7)]
-        rates, suspect = batch_rates(spec, points)
-        assert not suspect.any()
-        assert rates.tolist() == [oracle_rate(spec, *point) for point in points]
+        assert batch_rates(spec, points).tolist() == [oracle_rate(spec, *point)
+                                                      for point in points]
 
 
 # Rate properties, each on the batch evaluator and on the scalar oracle.
@@ -209,12 +225,13 @@ class TestFiniteSizeRateBelowAsymptotic:
     def test_batch_evaluator(self, drawn):
         channel, xi, v_m, n_bar, ratio, z = drawn
         noise = noise_from_attack(channel)
-        (rate,), (flagged,) = projected_key_rates(
-            [(v_m, ratio)], channel.tau_a, channel.tau_b, noise, xi, n_bar, z)
-        (k_inf,), (k_flagged,) = key_rate_batch([v_m], xi, channel.tau_a,
-                                                channel.tau_b, noise.excess_q,
-                                                noise.excess_p)
-        assume(not flagged and not k_flagged)
+        try:
+            (rate,) = projected_key_rates(
+                [(v_m, ratio)], channel.tau_a, channel.tau_b, noise, xi, n_bar, z)
+            (k_inf,) = key_rate_batch([v_m], xi, channel.tau_a, channel.tau_b,
+                                      noise.excess_q, noise.excess_p)[2]
+        except (CVMDIError, ArithmeticError):
+            assume(False)
         key_fraction = FiniteSizeParams.from_ratio(n_bar, ratio).ratio
         assert rate <= key_fraction * (max(k_inf, 0.0) + rounding_tol(v_m))
 
@@ -254,9 +271,12 @@ class TestKInfinityMonotoneInTransmissivity:
     def test_batch_evaluator(self, drawn):
         noise, xi, v_m, low, high = drawn
         (tau_a, tau_b) = np.array([low, high]).T
-        (k_low, k_high), suspect = key_rate_batch(
-            [v_m, v_m], xi, tau_a, tau_b, noise.excess_q, noise.excess_p)
-        assume(not suspect.any() and k_low > 0.0)
+        try:
+            k_low, k_high = key_rate_batch(
+                [v_m, v_m], xi, tau_a, tau_b, noise.excess_q, noise.excess_p)[2]
+        except CVMDIError:
+            assume(False)
+        assume(k_low > 0.0)
         assert k_high >= k_low - rounding_tol(v_m)
 
 
@@ -272,13 +292,25 @@ def report_cases(draw):
             draw(st.one_of(st.just(0.0), st.floats(0.0, 1e6))))
 
 
-NAN_SPREAD = (DomainError, "worst-case bounds must lie below the transmissivities "
-              "and above the excess noise")
+NAN_SPREAD = re.compile(r"tau_([ab]) spread is undefined: at tau_\1 = (\S+) and "
+                        r"v_m = (\S+) its two quadrature variances underflow to 0 or "
+                        r"overflow to inf")
+
+
+def is_nan_spread(error, taus, v_m):
+    """error, an outcome, is the NaN-spread DomainError naming a link with
+    its drawn transmissivity, below 1e-150, and the drawn v_m."""
+    kind, message = error
+    match = NAN_SPREAD.fullmatch(message)
+    tau = match and taus["ab".index(match[1])]
+    return (kind is DomainError and match is not None and 0.0 < tau < 1e-150
+            and (float(match[2]), float(match[3])) == (tau, v_m))
 
 
 class TestWorstCaseOrdering:
     """tau_low <= tau and excess_up >= excess for every z >= 0; a report
-    with a NaN spread raises, and the batch flags exactly those points."""
+    with a NaN spread raises, and the batch raises exactly there, with the
+    report's error."""
 
     @settings(max_examples=150, deadline=None)
     @given(report_cases())
@@ -287,8 +319,7 @@ class TestWorstCaseOrdering:
         try:
             report = report_from_parameters(tau_a, tau_b, noise, v_m, m, z=z)
         except DomainError as exc:
-            assert (type(exc), str(exc)) == NAN_SPREAD
-            assert any(0.0 < tau < 1e-150 for tau in (tau_a, tau_b))
+            assert is_nan_spread((type(exc), str(exc)), (tau_a, tau_b), v_m)
             return
         assert report.tau_a_low <= report.tau_a and report.tau_b_low <= report.tau_b
         assert report.excess_q_up >= report.excess_q
@@ -298,11 +329,60 @@ class TestWorstCaseOrdering:
     @given(report_cases())
     def test_batch_evaluator(self, drawn):
         tau_a, tau_b, noise, v_m, m, z = drawn
-        tau_low, excess_up, suspect = _parameter_bounds(
-            tau_a, tau_b, noise, np.array([v_m]), np.array([float(m)]), z)
+        bounds = outcome(lambda: np.concatenate(_parameter_bounds(
+            tau_a, tau_b, noise, np.array([v_m]), np.array([float(m)]), z))[:, 0])
         report = outcome(lambda: [report_from_parameters(tau_a, tau_b, noise, v_m, m,
                                                          z=z).tau_a_low])
-        assert suspect[0] == (report == NAN_SPREAD)
-        if not suspect[0]:
-            assert (tau_low[:, 0] <= (tau_a, tau_b)).all()
-            assert (excess_up[:, 0] >= (noise.excess_q, noise.excess_p)).all()
+        if isinstance(report, tuple):
+            assert bounds == report and is_nan_spread(report, (tau_a, tau_b), v_m)
+            return
+        tau_low, excess_up = np.array(list(map(float.fromhex, bounds))).reshape(2, 2)
+        assert (tau_low <= (tau_a, tau_b)).all()
+        assert (excess_up >= (noise.excess_q, noise.excess_p)).all()
+
+
+def mp_breakdown(state, xi):
+    """I_AB, I_H and K_inf at 40 digits from the conditional matrices'
+    float entries: the eigenvalues of Vq Vp, h of their square roots and of
+    Bob's, then the I_AB logs.  An eigenvalue at or below 1, as the
+    clamping band allows, contributes nothing."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        v = mp.matrix(state.cm_joint.tolist())
+        vq = mp.matrix([[v[0, 0], v[0, 2]], [v[2, 0], v[2, 2]]])
+        vp = mp.matrix([[v[1, 1], v[1, 3]], [v[3, 1], v[3, 3]]])
+        prod = vq * vp
+        trace = prod[0, 0] + prod[1, 1]
+        det = prod[0, 0] * prod[1, 1] - prod[0, 1] * prod[1, 0]
+        root = mp.sqrt(max(trace * trace - 4 * det, 0))
+        bob_q, bob_p = (mp.mpf(x) for x in np.diag(state.cm_bob).tolist())
+
+        def h(nu):
+            if nu <= 1:
+                return mp.mpf(0)
+            up, down = (nu + 1) / 2, (nu - 1) / 2
+            return up * mp.log(up, 2) - down * mp.log(down, 2)
+
+        i_h = (h(mp.sqrt((trace + root) / 2)) + h(mp.sqrt(max((trace - root) / 2, 0)))
+               - h(mp.sqrt(bob_q * bob_p)))
+        i_ab = (mp.log((v[2, 2] + 1) / (bob_q + 1), 2) / 2
+                + mp.log((v[3, 3] + 1) / (bob_p + 1), 2) / 2)
+        return [float(x) for x in (i_ab, i_h, xi * i_ab - i_h)]
+
+
+class TestKernelAgainstMpmath:
+    """The closed-form kernel against an independent high-precision
+    evaluation of its spectrum, entropies and logs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(channel=channels(), xi=st.floats(0.5, 1.0), v_m=log_floats(-2.0, 5.0))
+    def test_matches_forty_digits(self, channel, xi, v_m):
+        args = (ProtocolParams(v_m, xi), channel.tau_a, channel.tau_b,
+                noise_from_attack(channel))
+        try:
+            got = key_rate_breakdown(*args)
+        except CVMDIError:
+            assume(False)
+        expected = mp_breakdown(conditional_cms(*args), xi)
+        assert [got.i_ab, got.i_h, got.k_infinity] == pytest.approx(
+            expected, rel=0, abs=rounding_tol(v_m))

@@ -473,7 +473,20 @@ class TestBadInput:
     def test_subnormal_transmissivity_exits_two(self, capsys, argv):
         # the link's quadrature variances underflow to 0, and their mix is 0/0
         assert run_cli(*argv) == 2
-        assert capsys.readouterr().err.startswith("error: worst-case bounds must lie below")
+        link, tau = argv[1][-1], argv[2]
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: tau_{link} spread is undefined: at tau_{link} = "
+                              f"{tau} and v_m = ")
+        assert err.endswith(" its two quadrature variances underflow to 0 or overflow "
+                            "to inf\n")
+
+    def test_subnormal_modulation_exits_two(self, capsys):
+        # T / (tau v_m) overflows, so both quadrature variances are inf and
+        # their mix is inf/inf
+        assert run_cli("rate", "--v-m", "1e-320", "--n-bar", "1e6") == 2
+        assert capsys.readouterr().err == (
+            "error: tau_a spread is undefined: at tau_a = 0.98 and v_m = 1e-320 its two "
+            "quadrature variances underflow to 0 or overflow to inf\n")
 
     def test_overflowing_attack_is_unphysical(self, capsys):
         # the ancilla matrix's spectrum overflows to NaN in Python floats,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -324,8 +325,12 @@ class TestTransmissivityVariance:
 
     @pytest.mark.parametrize("taus", [(5e-324, 0.63), (0.63, 1e-320), (1e-200, 1e-200)])
     def test_underflowing_mix_is_a_domain_error(self, taus):
-        # both quadrature variances underflow to 0, so their mix is 0/0
-        with pytest.raises(DomainError, match="worst-case bounds must lie below"):
+        # both quadrature variances underflow to 0, so their mix is 0/0; the
+        # error names the first such link
+        link, tau = ("a", taus[0]) if taus[0] < 1e-150 else ("b", taus[1])
+        with pytest.raises(DomainError, match=re.escape(
+                f"tau_{link} spread is undefined: at tau_{link} = {tau} and v_m = 10.0 "
+                "its two quadrature variances underflow to 0 or overflow to inf")):
             report_from_parameters(*taus, PURE_LOSS, 10.0, 10**6)
 
 

@@ -13,7 +13,7 @@ from cvmdi import (
     tmsv_cm,
     von_neumann_entropy,
 )
-from cvmdi.gaussian import ensure_cov_matrix, separable_spectrum, spectrum_entropy
+from cvmdi.gaussian import ensure_cov_matrix, separable_spectra, spectrum_entropy
 
 from conftest import (
     beamsplitter_symplectic,
@@ -113,8 +113,8 @@ class TestSymplecticEigenvalues:
             s = beamsplitter_symplectic(rng.uniform(0, 2 * math.pi)) @ local
             v = s @ np.diag([nu[0], nu[0], nu[1], nu[1]]) @ s.T
             v = 0.5 * (v + v.T)
-            hi, lo = separable_spectrum(v[0, 0], v[0, 2], v[2, 2],
-                                        v[1, 1], v[1, 3], v[3, 3])
+            entries = v[(0, 0, 2, 1, 1, 3), (0, 2, 2, 1, 3, 3)]  # Vq, then Vp
+            hi, lo = (x.item() for x in separable_spectra(*entries[:, None]))
             general = np.sort(np.abs(np.linalg.eigvals(1j * omega @ v)))[::-1][::2]
             np.testing.assert_allclose([hi, lo], general, rtol=0, atol=1e-9)
             assert [hi, lo] == symplectic_eigenvalues(v)

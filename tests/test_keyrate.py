@@ -282,7 +282,6 @@ class TestClosedFormAgainstOracle:
             raise AssertionError("matrix route used on the closed-form path")
 
         noise = noise_from_attack(ChannelParams.two_mode_optimal(0.98, 0.5, 1.01, 1.01))
-        monkeypatch.setattr(keyrate, "np", None)
         monkeypatch.setattr(keyrate, "symplectic_eigenvalues", forbidden)
         monkeypatch.setattr(gaussian, "ensure_cov_matrix", forbidden)
         assert key_rate_breakdown(ProtocolParams(40.0, 0.98), 0.98, 0.5,
