@@ -63,6 +63,7 @@ from .optimizer import (
     default_v_m_grid,
     optimize_asymptotic,
     optimize_key_rate,
+    optimize_lockstep,
     OptimizationResult,
     OptimizationSpec,
 )
@@ -113,6 +114,7 @@ __all__ = [
     "OptimizationSpec",
     "optimize_asymptotic",
     "optimize_key_rate",
+    "optimize_lockstep",
     "PhysicalityError",
     "projected_key_rate",
     "ProtocolParams",

@@ -6,6 +6,13 @@ its own output.  Exit codes: 0 success (a negative best rate is still
 success, flagged in the payload), 2 configuration errors, 3 numerical or
 physicality errors.
 
+`rate`, `sweep` and `modscan` run all their searches in lockstep through
+`optimizer.optimize_lockstep`: a round of every search, rows and block
+sizes together, is one kernel call.  The searches are built in the order
+a row-by-row run meets them, and when a round raises they rerun one at a
+time in that order, so the error message and exit code are the ones the
+row-by-row run gives.  `optimize` runs its one search on its own.
+
 `main(argv)` builds the argument parser on its first call and reuses it
 for the rest of the process, so a process that calls it many times (the
 test suite, the benchmark harness) pays for the parser once; a one-shot
@@ -39,8 +46,8 @@ from .keyrate import asymptotic_key_rate, key_rate_breakdown, ProtocolParams
 from .optimizer import (
     default_r_grid,
     default_v_m_grid,
-    optimize_asymptotic,
     optimize_key_rate,
+    optimize_lockstep,
     OptimizationSpec,
 )
 from .simulator import run_trials, sample_dataset, SimulationSpec
@@ -216,26 +223,56 @@ def _finite_spec(args, channel: ChannelParams, n_bar: int, v_m: float | None = N
     )
 
 
-def _asymptotic_search(args, channel: ChannelParams) -> tuple[float, float, list]:
-    """(v_m, K_inf, trace) of the search for the v_m that maximizes K_inf."""
-    return optimize_asymptotic(channel, args.xi,
-                               tuple(_parse_log_axis(args.v_m_grid, "v-m")),
-                               args.refinement_rounds)
+def _asymptotic_search(args, channel: ChannelParams) -> tuple:
+    """optimize_asymptotic's arguments for the search for the v_m that
+    maximizes K_inf."""
+    return (channel, args.xi, tuple(_parse_log_axis(args.v_m_grid, "v-m")),
+            args.refinement_rounds)
+
+
+def _lockstep(build) -> list:
+    """optimize_lockstep over the searches that the iterable build yields.
+
+    Errors come as if each search ran as soon as it was built: when build
+    raises, the searches built before it run first, and an error of theirs
+    is raised in its place.
+    """
+    searches = []
+    try:
+        for search in build:
+            searches.append(search)
+    except (ValueError, ArithmeticError):
+        optimize_lockstep(searches)
+        raise
+    return optimize_lockstep(searches)
 
 
 def cmd_rate(args) -> int:
     channel = _single_channel(args)
     noise = noise_from_attack(channel)
     config = _config_dict(args)
-    v_m_star = args.v_m if args.v_m is not None else _asymptotic_search(args, channel)[0]
-    asym = key_rate_breakdown(ProtocolParams(v_m_star, args.xi), channel.tau_a,
-                              channel.tau_b, noise)
+    fixed = []  # the breakdown at --v-m, made where the sequential order has it
+
+    def searches():
+        if args.v_m is None:
+            yield _asymptotic_search(args, channel)
+        else:
+            fixed.append(key_rate_breakdown(ProtocolParams(args.v_m, args.xi),
+                                            channel.tau_a, channel.tau_b, noise))
+        if args.n_bar is not None:
+            yield _finite_spec(args, channel, _single_n_bar(args))
+
+    results = _lockstep(searches())
+    v_m_star = args.v_m if args.v_m is not None else results[0][0]
+    # the search evaluated K_inf at its optimum, so this one cannot raise
+    asym = fixed[0] if fixed else key_rate_breakdown(
+        ProtocolParams(v_m_star, args.xi), channel.tau_a, channel.tau_b, noise)
 
     finite = None
     no_positive = asym.k_infinity <= 0.0
     if args.n_bar is not None:
         n_bar = _single_n_bar(args)
-        result = optimize_key_rate(_finite_spec(args, channel, n_bar))
+        result = results[-1]
         fs = FiniteSizeParams.from_ratio(n_bar, result.ratio, eps_pa=args.eps_pa)
         report = report_from_parameters(channel.tau_a, channel.tau_b, noise,
                                         result.v_m, fs.m, z=args.z)
@@ -284,19 +321,31 @@ def cmd_sweep(args) -> int:
     header += ["v_m_star", "r_star", "k_asymptotic_clipped"]
     header += [f"k_N{_short_number(n)}_clipped" for n in n_bars]
 
+    fixed = []  # K_inf at --v-m, row by row
+
+    def searches():
+        # every row's asymptotic and finite-size searches, as one group
+        for db in db_values:
+            tau = db_to_transmissivity(db)
+            channel = _channel_for(args, tau if symmetric else args.tau_a, tau)
+            if args.v_m is None:
+                yield _asymptotic_search(args, channel)
+            else:
+                fixed.append(asymptotic_key_rate(ProtocolParams(args.v_m, args.xi),
+                                                 channel.tau_a, channel.tau_b,
+                                                 noise_from_attack(channel)))
+            for n_bar in n_bars:
+                yield _finite_spec(args, channel, n_bar)
+
+    results = iter(_lockstep(searches()))
     rows = []
-    for db in db_values:
-        tau = db_to_transmissivity(db)
-        channel = _channel_for(args, tau if symmetric else args.tau_a, tau)
+    for index, db in enumerate(db_values):
         # the search's value at its optimum is K_inf there, bit for bit
-        k_asym = (_asymptotic_search(args, channel)[1] if args.v_m is None
-                  else asymptotic_key_rate(ProtocolParams(args.v_m, args.xi), channel.tau_a,
-                                           channel.tau_b, noise_from_attack(channel)))
-        results = [optimize_key_rate(_finite_spec(args, channel, n_bar))
-                   for n_bar in n_bars]
-        finite_rates = [result.rate for result in results]
+        k_asym = next(results)[1] if args.v_m is None else fixed[index]
+        optima = [next(results) for _ in n_bars]
+        finite_rates = [result.rate for result in optima]
         # v_m_star / r_star columns describe the first --n-bar entry
-        rows.append((db, k_asym, *finite_rates, results[0].v_m, results[0].ratio,
+        rows.append((db, k_asym, *finite_rates, optima[0].v_m, optima[0].ratio,
                      max(k_asym, 0.0), *(max(k, 0.0) for k in finite_rates)))
     _write_table(args, config, header, rows)
     return 0
@@ -311,8 +360,8 @@ def cmd_modscan(args) -> int:
         raise ConfigurationError(
             "modscan scans v_m over --v-m-grid; give a single point there, not --v-m")
 
-    rows = [(v_m, optimize_key_rate(_finite_spec(args, channel, n_bar, v_m=v_m)).rate)
-            for v_m in v_m_values]
+    optima = _lockstep(_finite_spec(args, channel, n_bar, v_m=v_m) for v_m in v_m_values)
+    rows = [(v_m, result.rate) for v_m, result in zip(v_m_values, optima)]
     _write_table(args, config, ["v_m", "rate"], rows)
     return 0
 
@@ -400,7 +449,9 @@ def _add_protocol_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_finite_arguments(parser: argparse.ArgumentParser,
                           n_bar_default: str | None) -> None:
     parser.add_argument("--n-bar", type=str, default=n_bar_default,
-                        help="total signals exchanged (comma list where supported)")
+                        help="total signals exchanged (comma list where supported; "
+                             "sweep's v_m_star and r_star columns describe the "
+                             "first value only)")
     parser.add_argument("--ratio", type=float, default=None,
                         help="fixed key fraction n/n_bar (omit to optimize)")
     parser.add_argument("--r-grid", type=str, default=_axis_text(default_r_grid()),

@@ -221,13 +221,16 @@ def _variances(tau: np.ndarray, totals: np.ndarray, v_m, m):
     return np.concatenate([mixed, 2.0 * squares / m])
 
 
-def _bounds(tau: np.ndarray, excess: np.ndarray, spreads: np.ndarray, z: float):
+def _bounds(tau: np.ndarray, excess: np.ndarray, spreads: np.ndarray, z):
     """Worst-case bounds tau_low = clip(tau - z sigma, 0, 1) and excess_up =
-    excess + z sigma, each (2, k), from spreads (4, k).  Raises DomainError
-    for a z that is not finite and >= 0, and where some bound is out of
-    order; a NaN bound stays NaN, and so is out of order."""
-    if not 0.0 <= z < math.inf:
-        raise DomainError(f"z (confidence multiplier) must be finite and >= 0, got {z}")
+    excess + z sigma, each (2, k), from spreads (4, k), with one z or one
+    per point (k,).  Raises DomainError for the first z that is not finite
+    and >= 0, and where some bound is out of order; a NaN bound stays NaN,
+    and so is out of order."""
+    valid = (0.0 <= z) & (z < math.inf)
+    if not np.all(valid):
+        bad = np.ravel(z)[np.argmin(np.ravel(valid))].item()
+        raise DomainError(f"z (confidence multiplier) must be finite and >= 0, got {bad}")
     low = tau - z * spreads[:2]
     low = np.where(0.0 > low, 0.0, low)
     tau_low = np.where(1.0 < low, 1.0, low)
@@ -315,18 +318,24 @@ def estimate_excess_noise(d: BlockMoments, tau_a_hat: float,
 
 
 @np.errstate(all="ignore")
-def _parameter_bounds(tau_a: float, tau_b: float, noise: NoiseVars, v_m: np.ndarray,
-                      m: np.ndarray, z: float):
+def _parameter_bounds(tau_a, tau_b, noise, v_m: np.ndarray, m: np.ndarray, z):
     """report_from_parameters' worst-case bounds at arrays v_m and m (k,),
     bitwise equal elementwise: tau_low (2, k), links a then b, and
-    excess_up (2, k), q then p.  Raises if and only if the report raises at
-    some point, with the error of the first point that fails the earliest
-    check.  m holds float(m), with m >= 1."""
+    excess_up (2, k), q then p.  tau_a, tau_b and z are scalars or one per
+    point, and noise is a NoiseVars or an (excess_q, excess_p) pair of the
+    same kind, so that points on many channels share one call.  Raises if
+    and only if the report raises at some point, with the error of the
+    first point that fails the earliest check.  m holds float(m), with
+    m >= 1."""
     # the first v_m that _check_v_m rejects, or a valid one
     _check_v_m(v_m[np.argmin((0.0 < v_m) & (v_m < math.inf))].item())
-    tau = np.array([[tau_a], [tau_b]])
-    spreads = np.sqrt(_variances(tau, np.array([[noise.total_q], [noise.total_p]]), v_m, m))
-    return _bounds(tau, np.array([[noise.excess_q], [noise.excess_p]]), spreads, z)
+    if isinstance(noise, NoiseVars):
+        noise = (noise.excess_q, noise.excess_p)
+    *tau, excess_q, excess_p, _ = np.broadcast_arrays(tau_a, tau_b, *noise, v_m)
+    tau, excess = np.array(tau), np.array([excess_q, excess_p])
+    # 1 + excess, as NoiseVars.total_q and total_p compute it
+    spreads = np.sqrt(_variances(tau, 1.0 + excess, v_m, m))
+    return _bounds(tau, excess, spreads, z)
 
 
 @dataclass(frozen=True)

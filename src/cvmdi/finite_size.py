@@ -3,11 +3,16 @@
 The rate is (n/n_bar)(K_inf - penalty), with K_inf taken at the worst-case
 bounds of `estimation`'s one spreads-and-bounds stage.
 projected_key_rate, with finite_size_rate and report_from_parameters, is
-the scalar oracle for one analysis-mode point; projected_key_rates is the
-batch evaluator the optimizer runs on a whole search round.  Both read the
-bounds off that stage and K_inf off keyrate's one kernel, so the batch
-equals the oracle bit for bit, and it raises if and only if the oracle
-raises at some point of the round.
+the scalar oracle for one analysis-mode point.  The batch route is
+_block_splits, the block split and penalty per distinct ratio, then
+_rates, one bounds call and one kernel call over arrays of points that
+each carry their own channel, efficiency, z and block split: the
+optimizer runs a round of every search of a sweep through it at once, the
+asymptotic searches included as points at n_bar = inf.
+projected_key_rates is that route on one channel and block size.  Both
+routes read the bounds off that stage and K_inf off keyrate's one kernel,
+so the batch equals the oracle bit for bit, and it raises if and only if
+the oracle raises at some point of the round.
 """
 
 from __future__ import annotations
@@ -148,16 +153,50 @@ def projected_key_rates(points, tau_a: float, tau_b: float, noise: NoiseVars,
     per distinct ratio, so block sizes past 2**53 split as the oracle splits
     them; the rest is one array pass.
     """
-    v_m, ratios = zip(*points)
+    v_m, ratios = np.array(points, dtype=float).T
+    return _rates(v_m, xi, tau_a, tau_b, (noise.excess_q, noise.excess_p),
+                  *_block_splits(n_bar, ratios, eps_pa, delta_prefactor), z)
+
+
+def _block_splits(n_bar: int, ratios: np.ndarray, eps_pa: float,
+                  delta_prefactor: float) -> np.ndarray:
+    """(m, key fraction, penalty) at each ratio for a block of n_bar, shape
+    (3, len(ratios)), with m as float(m).
+
+    FiniteSizeParams.from_ratio and finite_size_penalty run in Python once
+    per distinct ratio, so block sizes past 2**53 split exactly, and raise
+    what they raise for some ratio.
+    """
+    # a dict, not np.unique: a first sort maps about 1 MB of numpy's sorting
+    # code into the process
     distinct: dict[float, int] = {}
-    which = [distinct.setdefault(ratio, len(distinct)) for ratio in ratios]
+    which = [distinct.setdefault(ratio, len(distinct)) for ratio in ratios.tolist()]
     splits = []
     for ratio in distinct:
         fs = FiniteSizeParams.from_ratio(n_bar, ratio, eps_pa=eps_pa)
         splits.append((float(fs.m), fs.ratio,
                        finite_size_penalty(fs.n, eps_pa, delta_prefactor)))
-    m, key_fraction, penalty = np.array(splits)[which].T
-    v_m = np.array(v_m, dtype=float)
-    tau_low, excess_up = _parameter_bounds(tau_a, tau_b, noise, v_m, m, z)
-    k_infinity = key_rate_batch(v_m, xi, *tau_low, *excess_up)[2]
+    return np.array(splits).reshape(-1, 3)[which].T
+
+
+def _rates(v_m: np.ndarray, xi, tau_a, tau_b, noise, m: np.ndarray,
+           key_fraction: np.ndarray, penalty: np.ndarray, z) -> np.ndarray:
+    """Rates (n/n_bar)(K_inf - penalty) over arrays of points (k,), from one
+    bounds call and one kernel call.
+
+    xi, tau_a, tau_b and z are scalars or one per point, and noise is an
+    (excess_q, excess_p) pair of the same kind, so that points of many
+    searches share a round.  A point with m = inf is at n_bar = inf: key
+    fraction 1, penalty 0 and K_inf at the true channel, since its spreads
+    would be 0/0; its rate 1.0 * (K_inf - 0.0) is K_inf bit for bit, NaN and
+    -0.0 included.  Raises if and only if some point's oracle raises.
+    """
+    worst = np.array(np.broadcast_arrays(tau_a, tau_b, *noise, v_m)[:4])
+    finite = m < math.inf
+    if finite.any():
+        tau_low, excess_up = _parameter_bounds(
+            *worst[:2, finite], worst[2:, finite], v_m[finite], m[finite],
+            np.broadcast_to(z, v_m.shape)[finite])
+        worst[:2, finite], worst[2:, finite] = tau_low, excess_up
+    k_infinity = key_rate_batch(v_m, xi, *worst)[2]
     return key_fraction * (k_infinity - penalty)

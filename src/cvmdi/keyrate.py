@@ -200,11 +200,11 @@ def key_rate_breakdown(protocol: ProtocolParams, tau_a: float, tau_b: float,
 
 
 @np.errstate(all="ignore")
-def key_rate_batch(v_m, xi: float, tau_a, tau_b, excess_q, excess_p):
+def key_rate_batch(v_m, xi, tau_a, tau_b, excess_q, excess_p):
     """I_AB, I_H and K_inf = xi I_AB - I_H over arrays of points.
 
-    v_m is 1-D; the transmissivities and the excess noise are scalars or of
-    its shape, and xi is one efficiency.  Returns (i_ab, i_h, k_infinity),
+    v_m is 1-D; the efficiency, the transmissivities and the excess noise
+    are scalars or of its shape.  Returns (i_ab, i_h, k_infinity),
     arrays over the points.  The checks run over all points, each in turn,
     and raise at the first point that fails: ProtocolParams' and NoiseVars'
     own, the transmissivity range, the denominators, Bob's variances, the
@@ -212,16 +212,17 @@ def key_rate_batch(v_m, xi: float, tau_a, tau_b, excess_q, excess_p):
     joint eigenvalue's band.  Where nothing raises, each value is bitwise
     that of the point on its own, NaN and inf included.
     """
-    v_m, tau_a, tau_b, excess_q, excess_p = (
-        np.asarray(x, dtype=float) for x in (v_m, tau_a, tau_b, excess_q, excess_p))
-    valid = ((0.0 <= v_m) & (v_m < math.inf) & np.isfinite(excess_q)
-             & np.isfinite(excess_p) & (1.0 + excess_q > 0.0) & (1.0 + excess_p > 0.0))
-    if not (0.0 < xi <= 1.0 and valid.all()):
+    v_m, xi, tau_a, tau_b, excess_q, excess_p = (
+        np.asarray(x, dtype=float) for x in (v_m, xi, tau_a, tau_b, excess_q, excess_p))
+    valid = ((0.0 <= v_m) & (v_m < math.inf) & (0.0 < xi) & (xi <= 1.0)
+             & np.isfinite(excess_q) & np.isfinite(excess_p)
+             & (1.0 + excess_q > 0.0) & (1.0 + excess_p > 0.0))
+    if not valid.all():
         # ProtocolParams or NoiseVars raises its own error at the first
         # point it rejects
-        v, q, p = (np.broadcast_to(x, valid.shape)[np.argmin(valid)].item()
-                   for x in (v_m, excess_q, excess_p))
-        ProtocolParams(v, xi)
+        v, x, q, p = (np.broadcast_to(a, valid.shape)[np.argmin(valid)].item()
+                      for a in (v_m, xi, excess_q, excess_p))
+        ProtocolParams(v, x)
         NoiseVars(q, p)
 
     q, p, (bob_q, bob_p), _ = _conditional_entries(v_m, tau_a, tau_b, excess_q, excess_p)

@@ -6,19 +6,35 @@ point count) and clips it to the hull of the initial grids.  The rate
 surface is smooth but can sit entirely below zero at high attenuation;
 that case is reported through a flag, not an error.
 
-The search evaluates one round at a time.  In analysis mode a round is
-one batch call, finite_size.projected_key_rates for the finite-size rate
-and keyrate.key_rate_batch for K_inf, each bitwise equal to its scalar
-oracle (projected_key_rate, asymptotic_key_rate).  A batch raises if and
-only if the oracle raises at some point of the round; the round is then
-replayed through the oracle point by point, so errors are the oracle's.
-Protocol mode loops over its scalar objective, which draws one block per
-point.
+One engine, _grid_refine, runs any number of searches in lockstep.  Each
+search keeps its own grids, windows, incumbent and trace, and round k of
+every search that has one goes to a single evaluation.  A round's points
+are arrays, row-major with the first axis outermost, and the incumbent is
+picked by an array reduction that keeps the scalar rule: a larger rate
+wins, then a smaller v_m, then a larger ratio, and on a tie the earlier
+point; a NaN never takes over, and a NaN first point stays.  A
+finite-size search's trace tuples are built only when a caller reads
+OptimizationResult.trace.
+
+In analysis mode a round of all searches is one finite_size._rates call:
+one bounds call and one keyrate.key_rate_batch call, each value bitwise
+its scalar oracle's (projected_key_rate, asymptotic_key_rate).  The
+asymptotic search is the n_bar = inf case of the same rate, and repeated
+points are recomputed rather than cached.  The round raises if and only
+if the oracle raises at some of its points.  optimize_lockstep then reruns
+its searches one at a time, in order, and a search on its own replays the
+round through the oracle point by point, so the error raised is the one
+the sequential run meets first.  optimize_key_rate and optimize_asymptotic
+are the one-search case.
+
+Protocol mode always runs one search on its own: its scalar objective
+draws one block per fresh point, from the stream indexed by the number of
+points drawn before it, and serves repeated points from a cache.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -28,14 +44,15 @@ from .channel import ChannelParams, noise_from_attack
 from .errors import ConfigurationError
 from .estimation import DEFAULT_Z, estimate_channel
 from .finite_size import (
+    _block_splits,
+    _rates,
     DEFAULT_DELTA_PREFACTOR,
     DEFAULT_EPS_PA,
     finite_size_key_rate,
     FiniteSizeParams,
     projected_key_rate,
-    projected_key_rates,
 )
-from .keyrate import asymptotic_key_rate, key_rate_batch, ProtocolParams
+from .keyrate import asymptotic_key_rate, ProtocolParams
 from .simulator import SimulationSpec, sample_dataset
 
 MODES = ("analysis", "protocol")
@@ -88,12 +105,27 @@ class OptimizationSpec:
 
 @dataclass
 class OptimizationResult:
+    """Optimum of a search, with its evaluation count.  trace lists every
+    evaluation as (v_m, ratio, rate), repeats included, in evaluation
+    order; it is built from the rounds' arrays when first read."""
+
     v_m: float
     ratio: float
     rate: float
     no_positive_rate: bool
     evaluations: int
-    trace: list[tuple[float, float, float]]
+    _rounds: list[tuple[np.ndarray, np.ndarray]] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def trace(self) -> list[tuple[float, float, float]]:
+        return _trace(self._rounds)
+
+
+def _trace(rounds) -> list[tuple[float, ...]]:
+    """(*point, rate) tuples of the rounds' (points, rates) arrays."""
+    points = np.concatenate([points for points, _ in rounds])
+    rates = np.concatenate([rates for _, rates in rounds])
+    return list(zip(*points.T.tolist(), rates.tolist()))
 
 
 def _better(candidate: tuple[float, ...], best: tuple[float, ...]) -> bool:
@@ -106,8 +138,29 @@ def _better(candidate: tuple[float, ...], best: tuple[float, ...]) -> bool:
     return candidate[2:] > best[2:]
 
 
-def _log_window(center: float, count: int, lo: float, hi: float,
-                factor: float) -> list[float]:
+def _incumbent(best, points: np.ndarray, rates: np.ndarray):
+    """The incumbent after a round, as scanning its points in order finds
+    it: a point takes over where its rate is >= the incumbent's, which no
+    NaN meets, and _better holds.  The first point of a search is the
+    incumbent even when its rate is NaN.  best and the result are
+    (rate, *point) tuples of floats, or best is None before any round."""
+    if best is None:
+        best = (rates[0].item(), *points[0].tolist())
+    index = np.flatnonzero(rates >= best[0])
+    if not len(index):
+        return best
+    # the first point of the round's best (rate, -v_m, ratio), as _better
+    # orders them
+    index = index[rates[index] == rates[index].max()]
+    if len(index) > 1:
+        index = index[points[index, 0] == points[index, 0].min()]
+        for axis in range(1, points.shape[1]):
+            index = index[points[index, axis] == points[index, axis].max()]
+    candidate = (rates[index[0]].item(), *points[index[0]].tolist())
+    return candidate if _better(candidate, best) else best
+
+
+def _log_window(center: float, count: int, lo: float, hi: float, factor: float):
     """Log-spaced window over 1/factor of the decades of [lo, hi], centred
     on center as far as the bounds allow."""
     lo_l, hi_l = math.log10(lo), math.log10(hi)
@@ -115,118 +168,217 @@ def _log_window(center: float, count: int, lo: float, hi: float,
     if width == 0.0:
         return [center]
     start = min(max(math.log10(center) - width / 2.0, lo_l), hi_l - width)
-    return [float(x) for x in np.logspace(start, start + width, count)]
+    return np.logspace(start, start + width, count)
 
 
-def _linear_window(center: float, count: int, lo: float, hi: float,
-                   factor: float) -> list[float]:
+def _linear_window(center: float, count: int, lo: float, hi: float, factor: float):
     width = (hi - lo) / factor
     if width == 0.0:
         return [center]
     start = min(max(center - width / 2.0, lo), hi - width)
-    return [float(x) for x in np.linspace(start, start + width, count)]
+    return np.linspace(start, start + width, count)
 
 
-def _grid_refine(evaluate, axes, rounds: int):
-    """Search a grid, then refine `rounds` times around the incumbent.
-
-    axes holds one (grid, window) pair per coordinate of a point; round k
-    replaces each grid by window(incumbent, len(grid), min(grid), max(grid),
-    SHRINK ** k).  Each round's points, in row-major order with the first
-    axis outermost, go to evaluate in one call, which returns their rates.
-    Returns (best, trace): best is (rate, *point), and trace lists every
-    evaluation as (*point, rate), repeats included.
-    """
-    if rounds < 0:
-        raise ConfigurationError("need refinement_rounds >= 0")
-    try:
-        factors = [SHRINK ** k for k in range(rounds + 1)]
-    except OverflowError:
-        raise ConfigurationError(
-            f"refinement_rounds {rounds} is too large: the window shrink factor "
-            f"{SHRINK} ** {rounds} overflows") from None
-    grids = [list(grid) for grid, _ in axes]
-    trace: list[tuple[float, ...]] = []
-    best: tuple[float, ...] | None = None
-    for round_index, factor in enumerate(factors):
-        if round_index > 0:
-            grids = [window(center, len(grid), min(grid), max(grid), factor)
-                     for (grid, window), center in zip(axes, best[1:])]
-        points = list(itertools.product(*grids))
-        rates = evaluate(points)
-        trace.extend((*point, rate) for point, rate in zip(points, rates))
-        for point, rate in zip(points, rates):
-            # _better needs rate >= best's rate, which NaN never meets
-            if best is None or (rate >= best[0] and _better((rate, *point), best)):
-                best = (rate, *point)
-    return best, trace
+def _round_points(grids) -> np.ndarray:
+    """The grids' product in row-major order, first axis outermost, as a
+    (points, axes) array."""
+    count = math.prod(len(grid) for grid in grids)
+    columns, outer = [], 1
+    for grid in grids:
+        columns.append(np.tile(np.repeat(grid, count // (outer * len(grid))), outer))
+        outer *= len(grid)
+    return np.column_stack(columns)
 
 
-def _cached_rounds(scalar, batch=None):
-    """Round evaluator for _grid_refine over a cache of computed points.
+class _Rate:
+    """The analysis-mode rate one search maximizes: projected_key_rate on
+    its channel, or asymptotic_key_rate where n_bar is None, the block size
+    at which the finite-size rate is K_inf.  A plain class: a dataclass
+    would compile its methods on every import of the package."""
 
-    scalar(index, *point) computes one point, index being the number of
-    points computed before it.  batch, when given, takes a round's fresh
-    points and returns their rates as an array, raising if scalar raises at
-    some point; then scalar replays the round in row-major order and so
-    raises exactly what it raises.
-    """
+    def __init__(self, channel: ChannelParams, xi: float, n_bar: int | None = None,
+                 z: float = DEFAULT_Z, eps_pa: float = DEFAULT_EPS_PA,
+                 delta_prefactor: float = DEFAULT_DELTA_PREFACTOR):
+        # raises for an attack too noisy to represent
+        self.noise = noise_from_attack(channel)
+        self.channel, self.xi, self.n_bar = channel, xi, n_bar
+        self.z, self.eps_pa, self.delta_prefactor = z, eps_pa, delta_prefactor
+
+    @classmethod
+    def of(cls, spec: OptimizationSpec) -> "_Rate":
+        return cls(spec.channel, spec.xi, spec.n_bar, spec.z, spec.eps_pa,
+                   spec.delta_prefactor)
+
+    def splits(self, points: np.ndarray) -> np.ndarray:
+        """(m, key fraction, penalty) at each point, m = inf where n_bar is
+        None."""
+        if self.n_bar is None:
+            return np.repeat([[math.inf], [1.0], [0.0]], len(points), axis=1)
+        return _block_splits(self.n_bar, points[:, 1], self.eps_pa, self.delta_prefactor)
+
+    def oracle(self, v_m: float, ratio: float | None = None) -> float:
+        protocol = ProtocolParams(v_m, self.xi)
+        if self.n_bar is None:
+            return asymptotic_key_rate(protocol, self.channel.tau_a, self.channel.tau_b,
+                                       self.noise)
+        fs = FiniteSizeParams.from_ratio(self.n_bar, ratio, eps_pa=self.eps_pa)
+        return projected_key_rate(protocol, self.channel, fs, self.delta_prefactor, self.z)
+
+
+def _analysis_round(rates: list[_Rate], rounds: list[np.ndarray]) -> list[np.ndarray]:
+    """One round of many analysis searches, rates[i] at the points
+    rounds[i], through one finite_size._rates call: the rates, one array
+    per search.  Raises if and only if some point's oracle raises."""
+    counts = [len(points) for points in rounds]
+    xi, tau_a, tau_b, excess_q, excess_p, z = np.repeat(
+        [(rate.xi, rate.channel.tau_a, rate.channel.tau_b, rate.noise.excess_q,
+          rate.noise.excess_p, rate.z) for rate in rates], counts, axis=0).T
+    m, key_fraction, penalty = np.concatenate(
+        [rate.splits(points) for rate, points in zip(rates, rounds)], axis=1)
+    v_m = np.concatenate([points[:, 0] for points in rounds])
+    return np.split(_rates(v_m, xi, tau_a, tau_b, (excess_q, excess_p), m, key_fraction,
+                           penalty, z), np.cumsum(counts)[:-1])
+
+
+def _analysis_objective(rate: _Rate):
+    """Evaluator of one analysis search's rounds: the batch, or, where it
+    raises, the oracle point by point, which raises the round's first
+    error."""
+    def evaluate(points) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        try:
+            return _analysis_round([rate], [points])[0]
+        except (ValueError, ArithmeticError):
+            pass  # every CVMDIError is one of these; the replay raises
+        return np.array([rate.oracle(*point) for point in points.tolist()])
+
+    return evaluate
+
+
+def _protocol_objective(spec: OptimizationSpec):
+    """Evaluator of a protocol-mode search's rounds over a cache: a fresh
+    point draws one block from the stream indexed by the number of points
+    drawn before it."""
     cache: dict[tuple[float, ...], float] = {}
 
-    def evaluate(points):
-        if batch is not None:
-            fresh = [point for point in dict.fromkeys(points) if point not in cache]
-            if fresh:
-                try:
-                    cache.update(zip(fresh, batch(fresh).tolist()))
-                except (ValueError, ArithmeticError):
-                    pass  # every CVMDIError is one of these; the replay raises
-        for point in points:
+    def scalar(index: int, v_m: float, ratio: float) -> float:
+        protocol = ProtocolParams(v_m=v_m, xi=spec.xi)
+        fs = FiniteSizeParams.from_ratio(spec.n_bar, ratio, eps_pa=spec.eps_pa)
+        sim = SimulationSpec(spec.channel, v_m, fs.m, trials=1, seed=spec.seed)
+        report = estimate_channel(sample_dataset(sim, trial_index=index), v_m,
+                                  z=spec.z)
+        return finite_size_key_rate(protocol, report, fs, spec.delta_prefactor)
+
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        for point in map(tuple, points.tolist()):
             if point not in cache:
                 cache[point] = scalar(len(cache), *point)
-        return [cache[point] for point in points]
+        return np.array([cache[point] for point in map(tuple, points.tolist())])
 
     return evaluate
 
 
 def _make_objective(spec: OptimizationSpec):
-    channel = spec.channel
-    noise = noise_from_attack(channel)
+    """Evaluator of the spec's search on its own: a round's (v_m, ratio)
+    points in, their rates out."""
+    # both modes map the attack to its relay noise first
+    rate = _Rate.of(spec)
+    if spec.mode == "analysis":
+        return _analysis_objective(rate)
+    return _protocol_objective(spec)
 
-    def scalar(index: int, v_m: float, ratio: float) -> float:
-        protocol = ProtocolParams(v_m=v_m, xi=spec.xi)
-        fs = FiniteSizeParams.from_ratio(spec.n_bar, ratio, eps_pa=spec.eps_pa)
-        if spec.mode == "analysis":
-            return projected_key_rate(protocol, channel, fs, spec.delta_prefactor,
-                                      spec.z)
-        sim = SimulationSpec(channel, v_m, fs.m, trials=1, seed=spec.seed)
-        report = estimate_channel(sample_dataset(sim, trial_index=index), v_m,
-                                  z=spec.z)
-        return finite_size_key_rate(protocol, report, fs, spec.delta_prefactor)
 
-    def batch(points):
-        return projected_key_rates(points, channel.tau_a, channel.tau_b, noise,
-                                   spec.xi, spec.n_bar, spec.z, spec.eps_pa,
-                                   spec.delta_prefactor)
+class _Search:
+    """One search of a lockstep group: its axes, one (grid, window) pair per
+    coordinate of a point, its window factors, its incumbent (rate, *point)
+    and its evaluated rounds as (points, rates) arrays.  rate is the
+    analysis-mode rate it maximizes, None in protocol mode."""
 
-    return _cached_rounds(scalar, batch if spec.mode == "analysis" else None)
+    def __init__(self, axes, rounds: int, rate: _Rate | None = None):
+        if rounds < 0:
+            raise ConfigurationError("need refinement_rounds >= 0")
+        try:
+            self.factors = [SHRINK ** k for k in range(rounds + 1)]
+        except OverflowError:
+            raise ConfigurationError(
+                f"refinement_rounds {rounds} is too large: the window shrink factor "
+                f"{SHRINK} ** {rounds} overflows") from None
+        self.axes = [(list(grid), window) for grid, window in axes]
+        self.rate = rate
+        self.best: tuple[float, ...] | None = None
+        self.rounds: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def points(self, round_index: int) -> np.ndarray:
+        """Round k's points: each grid replaced, from round 1 on, by
+        window(incumbent, len(grid), min(grid), max(grid), SHRINK ** k)."""
+        if round_index == 0:
+            return _round_points([grid for grid, _ in self.axes])
+        factor = self.factors[round_index]
+        return _round_points([window(center, len(grid), min(grid), max(grid), factor)
+                              for (grid, window), center in zip(self.axes, self.best[1:])])
+
+    def record(self, points: np.ndarray, rates: np.ndarray) -> None:
+        self.rounds.append((points, rates))
+        self.best = _incumbent(self.best, points, rates)
+
+
+def _grid_refine(evaluate, searches: list[_Search]) -> None:
+    """Run searches in lockstep: a grid round, then each search's refinement
+    rounds around its incumbent.  Round k of every search that has one goes
+    to one evaluate(searches, rounds) call, which takes those searches and
+    their points and returns their rates, one array per search."""
+    for round_index in range(max(len(search.factors) for search in searches)):
+        active = [search for search in searches if round_index < len(search.factors)]
+        rounds = [search.points(round_index) for search in active]
+        for search, points, rates in zip(active, rounds, evaluate(active, rounds)):
+            search.record(points, rates)
+
+
+def _alone(search: _Search, objective) -> _Search:
+    _grid_refine(lambda _, rounds: [objective(rounds[0])], [search])
+    return search
+
+
+def _finite_search(spec: OptimizationSpec, rate: _Rate | None = None) -> _Search:
+    return _Search(((spec.v_m_grid, _log_window), (spec.r_grid, _linear_window)),
+                   spec.refinement_rounds, rate)
+
+
+def _finite_result(search: _Search) -> OptimizationResult:
+    rate, v_m, ratio = search.best
+    return OptimizationResult(v_m=v_m, ratio=ratio, rate=rate,
+                              no_positive_rate=rate <= 0.0,
+                              evaluations=sum(len(rates) for _, rates in search.rounds),
+                              _rounds=search.rounds)
 
 
 def optimize_key_rate(spec: OptimizationSpec) -> OptimizationResult:
     """Deterministic search for the best (v_m, ratio) pair.
 
     Refinement never returns a point worse than the coarse-grid incumbent
-    because the incumbent is carried across rounds, and repeated points are
-    served from a cache so the reported rate equals a re-evaluation at the
-    winning point exactly.
+    because the incumbent is carried across rounds, and the reported rate
+    equals a re-evaluation at the winning point exactly: analysis-mode
+    values are bitwise the oracle's, and protocol mode serves repeated
+    points from its cache.
     """
-    (rate, v_m, ratio), trace = _grid_refine(
-        _make_objective(spec),
-        ((spec.v_m_grid, _log_window), (spec.r_grid, _linear_window)),
-        spec.refinement_rounds)
-    return OptimizationResult(v_m=v_m, ratio=ratio, rate=rate,
-                              no_positive_rate=rate <= 0.0,
-                              evaluations=len(trace), trace=trace)
+    objective = _make_objective(spec)
+    return _finite_result(_alone(_finite_search(spec), objective))
+
+
+def _asymptotic_search(channel: ChannelParams, xi: float,
+                       v_m_grid: tuple[float, ...] | None = None,
+                       refinement_rounds: int = OptimizationSpec.refinement_rounds,
+                       ) -> _Search:
+    grid = tuple(float(v) for v in (v_m_grid if v_m_grid is not None
+                                    else default_v_m_grid()))
+    if not grid or min(grid) <= 0.0:
+        raise ConfigurationError("v_m grid must be non-empty and positive")
+    return _Search(((grid, _log_window),), refinement_rounds, _Rate(channel, xi))
+
+
+def _asymptotic_result(search: _Search) -> tuple[float, float, list]:
+    rate, v_m = search.best
+    return v_m, rate, _trace(search.rounds)
 
 
 def optimize_asymptotic(channel: ChannelParams, xi: float,
@@ -234,20 +386,43 @@ def optimize_asymptotic(channel: ChannelParams, xi: float,
                         refinement_rounds: int = OptimizationSpec.refinement_rounds,
                         ) -> tuple[float, float, list]:
     """1-D version for the asymptotic rate: returns (v_m, rate, trace)."""
-    grid = tuple(float(v) for v in (v_m_grid if v_m_grid is not None
-                                    else default_v_m_grid()))
-    if not grid or min(grid) <= 0.0:
-        raise ConfigurationError("v_m grid must be non-empty and positive")
-    noise = noise_from_attack(channel)
+    search = _asymptotic_search(channel, xi, v_m_grid, refinement_rounds)
+    return _asymptotic_result(_alone(search, _analysis_objective(search.rate)))
 
-    def scalar(index: int, v_m: float) -> float:
-        return asymptotic_key_rate(ProtocolParams(v_m, xi), channel.tau_a,
-                                   channel.tau_b, noise)
 
-    def batch(points):
-        return key_rate_batch([v_m for v_m, in points], xi, channel.tau_a,
-                              channel.tau_b, noise.excess_q, noise.excess_p)[2]
+def _run_alone(search):
+    if isinstance(search, OptimizationSpec):
+        return optimize_key_rate(search)
+    return optimize_asymptotic(*search)
 
-    (rate, v_m), trace = _grid_refine(_cached_rounds(scalar, batch),
-                                      ((grid, _log_window),), refinement_rounds)
-    return v_m, rate, trace
+
+def optimize_lockstep(searches) -> list:
+    """Run many analysis-mode searches in lockstep, one kernel call per round
+    for all of them.
+
+    searches holds OptimizationSpecs in analysis mode and argument tuples
+    (channel, xi[, v_m_grid[, refinement_rounds]]) of optimize_asymptotic.
+    Returns what optimize_key_rate or optimize_asymptotic returns for each,
+    in order, bit for bit.  When a round raises, the searches rerun one at
+    a time, in order, so the error raised is the one that running them in
+    turn raises first.  A protocol-mode search draws its blocks in its own
+    order, so it runs on its own, through optimize_key_rate.
+    """
+    searches = list(searches)
+    if any(isinstance(search, OptimizationSpec) and search.mode != "analysis"
+           for search in searches):
+        raise ConfigurationError("lockstep searches run in analysis mode; "
+                                 "run a protocol-mode search with optimize_key_rate")
+    try:
+        states = [_finite_search(search, _Rate.of(search))
+                  if isinstance(search, OptimizationSpec)
+                  else _asymptotic_search(*search) for search in searches]
+        if states:
+            _grid_refine(lambda active, rounds: _analysis_round(
+                [state.rate for state in active], rounds), states)
+    except (ValueError, ArithmeticError):
+        # every CVMDIError is one of these; running the searches one at a
+        # time raises the first error of the sequential run
+        return [_run_alone(search) for search in searches]
+    return [_finite_result(state) if isinstance(search, OptimizationSpec)
+            else _asymptotic_result(state) for search, state in zip(searches, states)]

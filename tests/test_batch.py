@@ -240,10 +240,10 @@ class TestFiniteSizeRateBelowAsymptotic:
 def monotone_cases(draw):
     """Two transmissivity pairs, the second above the first on one link,
     at one relay noise."""
-    # Alice's link near 1, where the rate can be positive
+    # Both links near 1, where the rate is positive for most draws
     near_one = st.floats(-6.0, -1.0).map(lambda e: 1.0 - 10.0 ** e)
     channel = make_channel(draw(st.sampled_from(ATTACKS)), draw(near_one),
-                           draw(unit), draw(omegas), draw(omegas))
+                           draw(near_one), draw(omegas), draw(omegas))
     low = (channel.tau_a, channel.tau_b)
     link = draw(st.sampled_from((0, 1)))
     high = list(low)

@@ -480,6 +480,22 @@ class TestBadInput:
         assert err.endswith(" its two quadrature variances underflow to 0 or overflow "
                             "to inf\n")
 
+    @pytest.mark.parametrize("rows, code, message", [
+        ("0:3200:2", 3, "conditional joint state is unphysical: eigenvalue "
+                        "0.999999998884 < 1"),
+        ("3200:0:2", 2, "tau_b spread is undefined: at tau_b = 1e-320 and v_m = 1.0 its "
+                        "two quadrature variances underflow to 0 or overflow to inf"),
+    ])
+    def test_multi_row_sweep_exits_with_the_first_row_error(self, capsys, rows, code,
+                                                             message):
+        # at 0 dB the asymptotic search meets a state below the physicality
+        # band; at 3200 dB Bob's subnormal link has a 0/0 spread.  A sweep
+        # runs its rows' searches in lockstep, yet fails as running them in
+        # row order fails.
+        assert run_cli("sweep", "--bob-db", rows, "--attack", "pure-loss",
+                       "--tau-a", "0.999257", "--xi", "0.932263") == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_subnormal_modulation_exits_two(self, capsys):
         # T / (tau v_m) overflows, so both quadrature variances are inf and
         # their mix is inf/inf
@@ -506,3 +522,24 @@ class TestBadInput:
         assert run_cli("simulate", "--tau-b", "0.5", "--v-m", "1e-200", "--m", "100",
                        "--trials", "2") == 3
         assert capsys.readouterr().err.startswith("error: modulation variance 1e-200 ")
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+class TestGoldenPayloads:
+    """Payload bytes of the rate-surface commands, written before their
+    searches ran in lockstep; any change to a printed digit shows here."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("sweep_default.csv", ("sweep",)),
+        ("sweep_common_collective.json",
+         ("sweep", "--common-db", "0:10:21", "--attack", "collective",
+          "--n-bar", "1e5,1e7", "--format", "json")),
+        ("modscan_pure_loss.csv",
+         ("modscan", "--attack", "pure-loss", "--tau-b", "0.7", "--xi", "0.95",
+          "--n-bar", "1e6")),
+    ])
+    def test_payload_bytes(self, capsysbinary, name, argv):
+        assert run_cli(*argv) == 0
+        assert capsysbinary.readouterr().out == (DATA / name).read_bytes()

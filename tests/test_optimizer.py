@@ -2,19 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cvmdi import (
     ChannelParams,
     ConfigurationError,
+    CVMDIError,
     db_to_transmissivity,
+    default_v_m_grid,
     FiniteSizeParams,
+    finite_size,
     optimize_asymptotic,
     optimize_key_rate,
+    optimize_lockstep,
+    OptimizationResult,
     OptimizationSpec,
     projected_key_rate,
     ProtocolParams,
 )
-from cvmdi.optimizer import _linear_window, _log_window
+from cvmdi.keyrate import key_rate_batch
+from cvmdi.optimizer import _better, _incumbent, _linear_window, _log_window
 
 CHANNEL = ChannelParams.two_mode_optimal(0.98, db_to_transmissivity(2.0), 1.01, 1.01)
 
@@ -134,3 +141,124 @@ class TestRefinementWindows:
                        lambda: optimize_key_rate(small_spec(refinement_rounds=10**6))):
             with pytest.raises(ConfigurationError, match="refinement_rounds .* too large"):
                 search()
+
+
+# Lockstep searches against the same searches run one at a time.
+
+ATTACKS = ("pure-loss", "collective", "two-mode-optimal")
+
+
+def make_channel(attack, tau_a, tau_b, omega_a, omega_b):
+    if attack == "pure-loss":
+        return ChannelParams.pure_loss(tau_a, tau_b)
+    if attack == "collective":
+        return ChannelParams.collective(tau_a, tau_b, omega_a, omega_b)
+    return ChannelParams.two_mode_optimal(tau_a, tau_b, omega_a, omega_b)
+
+
+@st.composite
+def lockstep_rows(draw):
+    """A sweep row's channel, efficiency and z.  Besides any of the three
+    attacks, a near-lossless pure-loss pair, where a conditional state can
+    fall below the physicality band (exit 3), and a subnormal link, whose
+    spread is 0/0 (exit 2)."""
+    kind = draw(st.sampled_from(("attack", "attack", "near-lossless", "subnormal")))
+    if kind == "near-lossless":
+        near = st.floats(0.999, 1.0)
+        channel = ChannelParams.pure_loss(
+            *draw(st.just((0.999257, 1.0)) | st.tuples(near, near)))
+    else:
+        tau = st.floats(0.0, 1.0) if kind == "attack" else st.just(1e-320)
+        channel = make_channel(draw(st.sampled_from(ATTACKS)), draw(tau),
+                               draw(st.floats(0.0, 1.0)), draw(st.floats(1.0, 1.1)),
+                               draw(st.floats(1.0, 1.1)))
+    return channel, draw(st.floats(0.5, 1.0)), draw(st.floats(0.0, 10.0))
+
+
+@st.composite
+def lockstep_groups(draw):
+    """The searches of a sweep: per row an asymptotic search, then one
+    finite-size search per block size, over shared grids and rounds.  Rows
+    differ in efficiency and z as well, which a sweep's rows do not, so
+    that every per-point input of the kernel call varies."""
+    v_m_grid = draw(st.one_of(
+        st.just(default_v_m_grid()),
+        st.lists(st.floats(-2.0, 5.0).map(lambda e: 10.0 ** e), min_size=1, max_size=6)))
+    r_grid = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                           min_size=1, max_size=4))
+    # 4 ** 512 overflows a float, a configuration error
+    rounds = draw(st.sampled_from((0, 1, 2, 3) * 3 + (512,)))
+    n_bars = draw(st.lists(st.sampled_from((10**3, 10**5, 10**6, 10**9, 10**20 + 7)),
+                           min_size=1, max_size=4, unique=True))
+    searches = []
+    for channel, xi, z in draw(st.lists(lockstep_rows(), min_size=1, max_size=3)):
+        searches.append((channel, xi, tuple(v_m_grid), rounds))
+        searches += [OptimizationSpec(channel, xi, n_bar, tuple(v_m_grid), tuple(r_grid),
+                                      z=z, refinement_rounds=rounds)
+                     for n_bar in n_bars]
+    return searches
+
+
+def search_bits(result):
+    """A search's result with every float as its bit pattern."""
+    if isinstance(result, OptimizationResult):
+        head = (result.v_m, result.ratio, result.rate)
+        flags = (result.no_positive_rate, result.evaluations)
+        trace = result.trace
+    else:
+        v_m, rate, trace = result
+        head, flags = (v_m, rate), ()
+    return ([x.hex() for x in head], flags,
+            [tuple(x.hex() for x in row) for row in trace])
+
+
+def outcome(run):
+    try:
+        return [search_bits(result) for result in run()]
+    except CVMDIError as exc:
+        return type(exc), str(exc)
+
+
+def run_alone(search):
+    if isinstance(search, OptimizationSpec):
+        return optimize_key_rate(search)
+    return optimize_asymptotic(*search)
+
+
+class TestLockstep:
+    @settings(max_examples=150, deadline=None)
+    @given(lockstep_groups())
+    def test_lockstep_equals_searches_run_one_at_a_time(self, searches):
+        assert outcome(lambda: optimize_lockstep(searches)) == outcome(
+            lambda: [run_alone(search) for search in searches])
+
+    def test_a_round_of_all_searches_is_one_kernel_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return key_rate_batch(*args)
+
+        monkeypatch.setattr(finite_size, "key_rate_batch", counted)
+        searches = [(CHANNEL, 0.98), small_spec(), small_spec(n_bar=10**9)]
+        optimize_lockstep(searches)
+        assert calls == [25 + 2 * 45] * 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), axes=st.integers(1, 2))
+    def test_incumbent_is_the_scalar_scan_of_the_round(self, data, axes):
+        # few distinct values, so that ties, -0.0 against 0.0 and NaN occur
+        rates = st.sampled_from((math.nan, -math.inf, -1.0, -0.0, 0.0, 2.5, math.inf))
+        coordinates = st.sampled_from((1.0, 2.0, 3.0))
+        point = st.tuples(*[coordinates] * axes)
+        rows = data.draw(st.lists(st.tuples(rates, point), min_size=1, max_size=12))
+        best = data.draw(st.none() | st.tuples(rates, point).map(
+            lambda row: (row[0], *row[1])))
+        expected = best
+        for rate, coords in rows:
+            if expected is None or (rate >= expected[0]
+                                    and _better((rate, *coords), expected)):
+                expected = (rate, *coords)
+        got = _incumbent(best, np.array([coords for _, coords in rows]),
+                         np.array([rate for rate, _ in rows]))
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
