@@ -6,6 +6,8 @@ The attack on the two links is parameterized by the thermal variances
 independent entangling cloners; the strongest physical correlations give
 the optimal two-mode attack.  Everything downstream of this module sees the
 attack only through the per-quadrature excess noise at the relay output.
+The ancilla matrix couples only (q_a, q_b) and (p_a, p_b), so eve_cm reads
+its smallest symplectic eigenvalue off gaussian.separable_spectra.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, PhysicalityError
-from .gaussian import PHYSICALITY_TOL, min_symplectic_eigenvalue
+from .gaussian import PHYSICALITY_TOL, separable_spectra
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,8 @@ def eve_cm(params: ChannelParams) -> np.ndarray:
 
     Thermal blocks omega*I on the diagonal, diag(corr_q, corr_p) off it.
     Raises PhysicalityError when the correlations are too strong for the
-    chosen thermal variances.
+    chosen thermal variances.  The matrix is q/p separable, so its smallest
+    symplectic eigenvalue comes from gaussian.separable_spectra.
     """
     wa, wb = params.omega_a, params.omega_b
     gq, gp = params.corr_q, params.corr_p
@@ -110,7 +113,7 @@ def eve_cm(params: ChannelParams) -> np.ndarray:
         [gq, 0.0, wb, 0.0],
         [0.0, gp, 0.0, wb],
     ])
-    nu_min = min_symplectic_eigenvalue(cm)
+    nu_min = separable_spectra(wa, gq, wb, wa, gp, wb)[1].item()
     if not nu_min >= 1.0 - PHYSICALITY_TOL:
         raise PhysicalityError(
             "attack covariance matrix is unphysical: smallest symplectic "

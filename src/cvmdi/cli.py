@@ -7,11 +7,15 @@ success, flagged in the payload), 2 configuration errors, 3 numerical or
 physicality errors.
 
 `rate`, `sweep` and `modscan` run all their searches in lockstep through
-`optimizer.optimize_lockstep`: a round of every search, rows and block
-sizes together, is one kernel call.  The searches are built in the order
-a row-by-row run meets them, and when a round raises they rerun one at a
-time in that order, so the error message and exit code are the ones the
-row-by-row run gives.  `optimize` runs its one search on its own.
+`optimizer.optimize_lockstep`, which takes `OptimizationSpec`s: a round
+of every search, rows and block sizes together, is one kernel call.  The
+K_inf search of `rate` and of each `sweep` row is `OptimizationSpec` with
+n_bar=None, built from --xi, --v-m-grid and --refinement-rounds only.
+The searches are built in the order a row-by-row run meets them, and
+when a round raises they rerun one at a time in that order, so the error
+message and exit code are the ones the row-by-row run gives.  `optimize`
+runs its one search on its own.  Each grid flag's text is parsed once
+per command, however many searches use it.
 
 `main(argv)` builds the argument parser on its first call and reuses it
 for the rest of the process, so a process that calls it many times (the
@@ -103,7 +107,11 @@ def _write_table(args, config: dict, header: list[str], rows: list[tuple]) -> No
     _write_output(args.out, text)
 
 
-def _parse_axis(text: str, name: str) -> list[float]:
+# The grid parsers are memoised on their text, so that a command parses
+# each grid flag once however many searches it builds; an error is not
+# cached, and raises wherever the text is parsed.
+@functools.lru_cache(maxsize=32)
+def _parse_axis(text: str, name: str) -> tuple[float, ...]:
     """Parse 'start:stop:points' into a linear grid, or a single value."""
     if ":" in text:
         parts = text.split(":")
@@ -115,14 +123,15 @@ def _parse_axis(text: str, name: str) -> list[float]:
             raise ConfigurationError(f"bad {name} grid {text!r}: {exc}") from None
         if count < 1:
             raise ConfigurationError(f"{name} grid has zero length: {text!r}")
-        return [float(x) for x in np.linspace(start, stop, count)]
+        return tuple(float(x) for x in np.linspace(start, stop, count))
     try:
-        return [float(text)]
+        return (float(text),)
     except ValueError as exc:
         raise ConfigurationError(f"bad {name} value {text!r}: {exc}") from None
 
 
-def _parse_log_axis(text: str, name: str) -> list[float]:
+@functools.lru_cache(maxsize=32)
+def _parse_log_axis(text: str, name: str) -> tuple[float, ...]:
     """Parse 'start:stop:points' into a log-spaced grid, or a single value."""
     values = _parse_axis(text, name)
     if len(values) == 1:
@@ -130,7 +139,7 @@ def _parse_log_axis(text: str, name: str) -> list[float]:
     start, stop = values[0], values[-1]
     if start <= 0 or stop <= 0:
         raise ConfigurationError(f"{name} grid must be positive for log spacing")
-    return [float(x) for x in np.geomspace(start, stop, len(values))]
+    return tuple(float(x) for x in np.geomspace(start, stop, len(values)))
 
 
 def integer(text: str) -> int:
@@ -209,12 +218,12 @@ def _finite_spec(args, channel: ChannelParams, n_bar: int, v_m: float | None = N
     """Search spec from the command line; v_m, when given, overrides --v-m."""
     if v_m is None:
         v_m = args.v_m
-    v_m_grid = _parse_log_axis(args.v_m_grid, "v-m") if v_m is None else [v_m]
+    v_m_grid = _parse_log_axis(args.v_m_grid, "v-m") if v_m is None else (v_m,)
     r_grid = (_parse_axis(args.r_grid, "ratio")
-              if args.ratio is None else [args.ratio])
+              if args.ratio is None else (args.ratio,))
     return OptimizationSpec(
         channel=channel, xi=args.xi, n_bar=n_bar,
-        v_m_grid=tuple(v_m_grid), r_grid=tuple(r_grid),
+        v_m_grid=v_m_grid, r_grid=r_grid,
         eps_pa=args.eps_pa, z=args.z,
         delta_prefactor=args.delta_prefactor,
         refinement_rounds=0 if (v_m is not None and args.ratio is not None)
@@ -223,11 +232,12 @@ def _finite_spec(args, channel: ChannelParams, n_bar: int, v_m: float | None = N
     )
 
 
-def _asymptotic_search(args, channel: ChannelParams) -> tuple:
-    """optimize_asymptotic's arguments for the search for the v_m that
-    maximizes K_inf."""
-    return (channel, args.xi, tuple(_parse_log_axis(args.v_m_grid, "v-m")),
-            args.refinement_rounds)
+def _asymptotic_search(args, channel: ChannelParams) -> OptimizationSpec:
+    """The K_inf search (n_bar=None) for the v_m that maximizes K_inf.  It
+    reads --xi, --v-m-grid and --refinement-rounds only, so a bad
+    finite-size flag fails where the first finite-size search is built."""
+    return OptimizationSpec(channel, args.xi, None, _parse_log_axis(args.v_m_grid, "v-m"),
+                            refinement_rounds=args.refinement_rounds)
 
 
 def _lockstep(build) -> list:
@@ -263,7 +273,7 @@ def cmd_rate(args) -> int:
             yield _finite_spec(args, channel, _single_n_bar(args))
 
     results = _lockstep(searches())
-    v_m_star = args.v_m if args.v_m is not None else results[0][0]
+    v_m_star = args.v_m if args.v_m is not None else results[0].v_m
     # the search evaluated K_inf at its optimum, so this one cannot raise
     asym = fixed[0] if fixed else key_rate_breakdown(
         ProtocolParams(v_m_star, args.xi), channel.tau_a, channel.tau_b, noise)
@@ -341,7 +351,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for index, db in enumerate(db_values):
         # the search's value at its optimum is K_inf there, bit for bit
-        k_asym = next(results)[1] if args.v_m is None else fixed[index]
+        k_asym = next(results).rate if args.v_m is None else fixed[index]
         optima = [next(results) for _ in n_bars]
         finite_rates = [result.rate for result in optima]
         # v_m_star / r_star columns describe the first --n-bar entry

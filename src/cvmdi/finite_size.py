@@ -8,11 +8,10 @@ _block_splits, the block split and penalty per distinct ratio, then
 _rates, one bounds call and one kernel call over arrays of points that
 each carry their own channel, efficiency, z and block split: the
 optimizer runs a round of every search of a sweep through it at once, the
-asymptotic searches included as points at n_bar = inf.
-projected_key_rates is that route on one channel and block size.  Both
-routes read the bounds off that stage and K_inf off keyrate's one kernel,
-so the batch equals the oracle bit for bit, and it raises if and only if
-the oracle raises at some point of the round.
+K_inf searches (OptimizationSpec with n_bar=None) included as points at
+n_bar = inf.  Both routes read the bounds off that stage and K_inf off
+keyrate's one kernel, so the batch equals the oracle bit for bit, and it
+raises if and only if the oracle raises at some point of the round.
 """
 
 from __future__ import annotations
@@ -139,23 +138,6 @@ def projected_key_rate(protocol: ProtocolParams, channel: ChannelParams,
     report = report_from_parameters(channel.tau_a, channel.tau_b, noise,
                                     protocol.v_m, fs.m, z=z)
     return finite_size_key_rate(protocol, report, fs, delta_prefactor)
-
-
-def projected_key_rates(points, tau_a: float, tau_b: float, noise: NoiseVars,
-                        xi: float, n_bar: int, z: float = DEFAULT_Z,
-                        eps_pa: float = DEFAULT_EPS_PA,
-                        delta_prefactor: float = DEFAULT_DELTA_PREFACTOR) -> np.ndarray:
-    """projected_key_rate over a list of (v_m, ratio) points on one channel.
-
-    Returns the rates, an array over the points, each bitwise the oracle's.
-    Raises if and only if the oracle raises at some point, though the error
-    may be another point's.  The block split and the penalty run in Python
-    per distinct ratio, so block sizes past 2**53 split as the oracle splits
-    them; the rest is one array pass.
-    """
-    v_m, ratios = np.array(points, dtype=float).T
-    return _rates(v_m, xi, tau_a, tau_b, (noise.excess_q, noise.excess_p),
-                  *_block_splits(n_bar, ratios, eps_pa, delta_prefactor), z)
 
 
 def _block_splits(n_bar: int, ratios: np.ndarray, eps_pa: float,

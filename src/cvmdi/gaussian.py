@@ -152,13 +152,9 @@ def separable_spectra(q11, q12, q22, p11, p12, p22):
     return np.sqrt(hi_sq), _clamped_root(det_m / hi_sq, scale=1.0)
 
 
-def min_symplectic_eigenvalue(v) -> float:
-    return symplectic_eigenvalues(v)[-1]
-
-
 def is_physical(v, tol: float = PHYSICALITY_TOL) -> bool:
     """True when every symplectic eigenvalue is >= 1 - tol."""
-    return min_symplectic_eigenvalue(v) >= 1.0 - tol
+    return symplectic_eigenvalues(v)[-1] >= 1.0 - tol
 
 
 def von_neumann_entropy(v) -> float:

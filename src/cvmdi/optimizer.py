@@ -6,26 +6,31 @@ point count) and clips it to the hull of the initial grids.  The rate
 surface is smooth but can sit entirely below zero at high attenuation;
 that case is reported through a flag, not an error.
 
+Every search is one OptimizationSpec.  n_bar=None is the K_inf search:
+the finite-size rate at n_bar = inf, with key fraction 1, no penalty and
+no bounds, so its key-fraction axis is fixed at (1.0,), its result has
+ratio 1.0 and its trace rows read (v_m, 1.0, rate).  optimize_asymptotic
+runs that search and returns (v_m, rate, trace) with (v_m, rate) rows.
+
 One engine, _grid_refine, runs any number of searches in lockstep.  Each
-search keeps its own grids, windows, incumbent and trace, and round k of
-every search that has one goes to a single evaluation.  A round's points
-are arrays, row-major with the first axis outermost, and the incumbent is
-picked by an array reduction that keeps the scalar rule: a larger rate
-wins, then a smaller v_m, then a larger ratio, and on a tie the earlier
-point; a NaN never takes over, and a NaN first point stays.  A
-finite-size search's trace tuples are built only when a caller reads
+search (_Search) keeps its own grids, windows, incumbent and trace, and
+round k of every search that has one goes to a single evaluation.  A
+round's points are arrays, row-major with the first axis outermost, and
+the incumbent is picked by an array reduction that keeps the scalar rule:
+a larger rate wins, then a smaller v_m, then a larger ratio, and on a tie
+the earlier point; a NaN never takes over, and a NaN first point stays.
+A search's trace tuples are built only when a caller reads
 OptimizationResult.trace.
 
 In analysis mode a round of all searches is one finite_size._rates call:
 one bounds call and one keyrate.key_rate_batch call, each value bitwise
-its scalar oracle's (projected_key_rate, asymptotic_key_rate).  The
-asymptotic search is the n_bar = inf case of the same rate, and repeated
-points are recomputed rather than cached.  The round raises if and only
-if the oracle raises at some of its points.  optimize_lockstep then reruns
-its searches one at a time, in order, and a search on its own replays the
-round through the oracle point by point, so the error raised is the one
-the sequential run meets first.  optimize_key_rate and optimize_asymptotic
-are the one-search case.
+its scalar oracle's (projected_key_rate, asymptotic_key_rate), and
+repeated points are recomputed rather than cached.  The round raises if
+and only if the oracle raises at some of its points.  optimize_lockstep,
+which takes specs, then reruns its searches one at a time, in order, and
+a search on its own replays the round through the oracle point by point,
+so the error raised is the one the sequential run meets first.
+optimize_key_rate and optimize_asymptotic are the one-search case.
 
 Protocol mode always runs one search on its own: its scalar objective
 draws one block per fresh point, from the stream indexed by the number of
@@ -71,16 +76,19 @@ def default_r_grid() -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class OptimizationSpec:
-    """Scenario plus search grids for the finite-size optimization.
+    """Scenario plus search grids for the key-rate optimization.
 
     mode "analysis" evaluates the projected rate from the analytic spread
     formulas at the true parameters; mode "protocol" simulates one block
     per candidate point and runs the full estimate-then-bound pipeline.
+    n_bar=None is the K_inf search, the rate at n_bar = inf, in analysis
+    mode only: a valid r_grid is replaced by the key-fraction axis (1.0,),
+    and eps_pa, z and delta_prefactor go unused.
     """
 
     channel: ChannelParams
     xi: float
-    n_bar: int
+    n_bar: int | None
     v_m_grid: tuple[float, ...] = field(default_factory=default_v_m_grid)
     r_grid: tuple[float, ...] = field(default_factory=default_r_grid)
     eps_pa: float = DEFAULT_EPS_PA
@@ -97,8 +105,14 @@ class OptimizationSpec:
             raise ConfigurationError("v_m grid must be non-empty and positive")
         if not self.r_grid or not all(0.0 < r < 1.0 for r in self.r_grid):
             raise ConfigurationError("ratio grid must be non-empty within (0, 1)")
+        if self.n_bar is None:
+            # at n_bar = inf the whole block keys
+            object.__setattr__(self, "r_grid", (1.0,))
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.n_bar is None and self.mode != "analysis":
+            raise ConfigurationError("the K_inf search (n_bar=None) runs in analysis "
+                                     "mode only; protocol mode needs a block size")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
@@ -118,14 +132,9 @@ class OptimizationResult:
 
     @functools.cached_property
     def trace(self) -> list[tuple[float, float, float]]:
-        return _trace(self._rounds)
-
-
-def _trace(rounds) -> list[tuple[float, ...]]:
-    """(*point, rate) tuples of the rounds' (points, rates) arrays."""
-    points = np.concatenate([points for points, _ in rounds])
-    rates = np.concatenate([rates for _, rates in rounds])
-    return list(zip(*points.T.tolist(), rates.tolist()))
+        points = np.concatenate([points for points, _ in self._rounds])
+        rates = np.concatenate([rates for _, rates in self._rounds])
+        return list(zip(*points.T.tolist(), rates.tolist()))
 
 
 def _better(candidate: tuple[float, ...], best: tuple[float, ...]) -> bool:
@@ -190,69 +199,94 @@ def _round_points(grids) -> np.ndarray:
     return np.column_stack(columns)
 
 
-class _Rate:
-    """The analysis-mode rate one search maximizes: projected_key_rate on
-    its channel, or asymptotic_key_rate where n_bar is None, the block size
-    at which the finite-size rate is K_inf.  A plain class: a dataclass
+class _Search:
+    """One search of a lockstep group, built from its spec: the relay noise
+    of its attack, its axes, one (grid, window) pair per coordinate of a
+    point, its window factors, its incumbent (rate, *point) and its
+    evaluated rounds as (points, rates) arrays.  A plain class: a dataclass
     would compile its methods on every import of the package."""
 
-    def __init__(self, channel: ChannelParams, xi: float, n_bar: int | None = None,
-                 z: float = DEFAULT_Z, eps_pa: float = DEFAULT_EPS_PA,
-                 delta_prefactor: float = DEFAULT_DELTA_PREFACTOR):
-        # raises for an attack too noisy to represent
-        self.noise = noise_from_attack(channel)
-        self.channel, self.xi, self.n_bar = channel, xi, n_bar
-        self.z, self.eps_pa, self.delta_prefactor = z, eps_pa, delta_prefactor
+    def __init__(self, spec: OptimizationSpec):
+        # raises for an attack too noisy to represent, in both modes
+        self.noise = noise_from_attack(spec.channel)
+        rounds = spec.refinement_rounds
+        if rounds < 0:
+            raise ConfigurationError("need refinement_rounds >= 0")
+        try:
+            self.factors = [SHRINK ** k for k in range(rounds + 1)]
+        except OverflowError:
+            raise ConfigurationError(
+                f"refinement_rounds {rounds} is too large: the window shrink factor "
+                f"{SHRINK} ** {rounds} overflows") from None
+        self.spec = spec
+        self.axes = ((spec.v_m_grid, _log_window), (spec.r_grid, _linear_window))
+        self.best: tuple[float, ...] | None = None
+        self.rounds: list[tuple[np.ndarray, np.ndarray]] = []
 
-    @classmethod
-    def of(cls, spec: OptimizationSpec) -> "_Rate":
-        return cls(spec.channel, spec.xi, spec.n_bar, spec.z, spec.eps_pa,
-                   spec.delta_prefactor)
+    def points(self, round_index: int) -> np.ndarray:
+        """Round k's points: each grid replaced, from round 1 on, by
+        window(incumbent, len(grid), min(grid), max(grid), SHRINK ** k)."""
+        if round_index == 0:
+            return _round_points([grid for grid, _ in self.axes])
+        factor = self.factors[round_index]
+        return _round_points([window(center, len(grid), min(grid), max(grid), factor)
+                              for (grid, window), center in zip(self.axes, self.best[1:])])
+
+    def record(self, points: np.ndarray, rates: np.ndarray) -> None:
+        self.rounds.append((points, rates))
+        self.best = _incumbent(self.best, points, rates)
+
+    def result(self) -> OptimizationResult:
+        rate, v_m, ratio = self.best
+        return OptimizationResult(v_m=v_m, ratio=ratio, rate=rate,
+                                  no_positive_rate=rate <= 0.0,
+                                  evaluations=sum(len(rates) for _, rates in self.rounds),
+                                  _rounds=self.rounds)
 
     def splits(self, points: np.ndarray) -> np.ndarray:
-        """(m, key fraction, penalty) at each point, m = inf where n_bar is
-        None."""
-        if self.n_bar is None:
+        """(m, key fraction, penalty) at each analysis-mode point, m = inf
+        where n_bar is None."""
+        spec = self.spec
+        if spec.n_bar is None:
             return np.repeat([[math.inf], [1.0], [0.0]], len(points), axis=1)
-        return _block_splits(self.n_bar, points[:, 1], self.eps_pa, self.delta_prefactor)
+        return _block_splits(spec.n_bar, points[:, 1], spec.eps_pa, spec.delta_prefactor)
 
-    def oracle(self, v_m: float, ratio: float | None = None) -> float:
-        protocol = ProtocolParams(v_m, self.xi)
-        if self.n_bar is None:
-            return asymptotic_key_rate(protocol, self.channel.tau_a, self.channel.tau_b,
+    def oracle(self, v_m: float, ratio: float) -> float:
+        """The analysis-mode rate at one point: projected_key_rate, or
+        asymptotic_key_rate where n_bar is None."""
+        spec = self.spec
+        protocol = ProtocolParams(v_m, spec.xi)
+        if spec.n_bar is None:
+            return asymptotic_key_rate(protocol, spec.channel.tau_a, spec.channel.tau_b,
                                        self.noise)
-        fs = FiniteSizeParams.from_ratio(self.n_bar, ratio, eps_pa=self.eps_pa)
-        return projected_key_rate(protocol, self.channel, fs, self.delta_prefactor, self.z)
+        fs = FiniteSizeParams.from_ratio(spec.n_bar, ratio, eps_pa=spec.eps_pa)
+        return projected_key_rate(protocol, spec.channel, fs, spec.delta_prefactor, spec.z)
+
+    def evaluate(self, points: np.ndarray) -> np.ndarray:
+        """The analysis-mode rates at a round's points: the batch, or,
+        where it raises, the oracle point by point, which raises the
+        round's first error."""
+        try:
+            return _analysis_round([self], [points])[0]
+        except (ValueError, ArithmeticError):
+            pass  # every CVMDIError is one of these; the replay raises
+        return np.array([self.oracle(*point) for point in points.tolist()])
 
 
-def _analysis_round(rates: list[_Rate], rounds: list[np.ndarray]) -> list[np.ndarray]:
-    """One round of many analysis searches, rates[i] at the points
+def _analysis_round(searches: list[_Search], rounds: list[np.ndarray]) -> list[np.ndarray]:
+    """One round of many analysis searches, searches[i] at the points
     rounds[i], through one finite_size._rates call: the rates, one array
     per search.  Raises if and only if some point's oracle raises."""
     counts = [len(points) for points in rounds]
     xi, tau_a, tau_b, excess_q, excess_p, z = np.repeat(
-        [(rate.xi, rate.channel.tau_a, rate.channel.tau_b, rate.noise.excess_q,
-          rate.noise.excess_p, rate.z) for rate in rates], counts, axis=0).T
+        [(search.spec.xi, search.spec.channel.tau_a, search.spec.channel.tau_b,
+          search.noise.excess_q, search.noise.excess_p, search.spec.z)
+         for search in searches], counts, axis=0).T
     m, key_fraction, penalty = np.concatenate(
-        [rate.splits(points) for rate, points in zip(rates, rounds)], axis=1)
+        [search.splits(points) for search, points in zip(searches, rounds)], axis=1)
     v_m = np.concatenate([points[:, 0] for points in rounds])
     return np.split(_rates(v_m, xi, tau_a, tau_b, (excess_q, excess_p), m, key_fraction,
                            penalty, z), np.cumsum(counts)[:-1])
-
-
-def _analysis_objective(rate: _Rate):
-    """Evaluator of one analysis search's rounds: the batch, or, where it
-    raises, the oracle point by point, which raises the round's first
-    error."""
-    def evaluate(points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        try:
-            return _analysis_round([rate], [points])[0]
-        except (ValueError, ArithmeticError):
-            pass  # every CVMDIError is one of these; the replay raises
-        return np.array([rate.oracle(*point) for point in points.tolist()])
-
-    return evaluate
 
 
 def _protocol_objective(spec: OptimizationSpec):
@@ -278,50 +312,6 @@ def _protocol_objective(spec: OptimizationSpec):
     return evaluate
 
 
-def _make_objective(spec: OptimizationSpec):
-    """Evaluator of the spec's search on its own: a round's (v_m, ratio)
-    points in, their rates out."""
-    # both modes map the attack to its relay noise first
-    rate = _Rate.of(spec)
-    if spec.mode == "analysis":
-        return _analysis_objective(rate)
-    return _protocol_objective(spec)
-
-
-class _Search:
-    """One search of a lockstep group: its axes, one (grid, window) pair per
-    coordinate of a point, its window factors, its incumbent (rate, *point)
-    and its evaluated rounds as (points, rates) arrays.  rate is the
-    analysis-mode rate it maximizes, None in protocol mode."""
-
-    def __init__(self, axes, rounds: int, rate: _Rate | None = None):
-        if rounds < 0:
-            raise ConfigurationError("need refinement_rounds >= 0")
-        try:
-            self.factors = [SHRINK ** k for k in range(rounds + 1)]
-        except OverflowError:
-            raise ConfigurationError(
-                f"refinement_rounds {rounds} is too large: the window shrink factor "
-                f"{SHRINK} ** {rounds} overflows") from None
-        self.axes = [(list(grid), window) for grid, window in axes]
-        self.rate = rate
-        self.best: tuple[float, ...] | None = None
-        self.rounds: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def points(self, round_index: int) -> np.ndarray:
-        """Round k's points: each grid replaced, from round 1 on, by
-        window(incumbent, len(grid), min(grid), max(grid), SHRINK ** k)."""
-        if round_index == 0:
-            return _round_points([grid for grid, _ in self.axes])
-        factor = self.factors[round_index]
-        return _round_points([window(center, len(grid), min(grid), max(grid), factor)
-                              for (grid, window), center in zip(self.axes, self.best[1:])])
-
-    def record(self, points: np.ndarray, rates: np.ndarray) -> None:
-        self.rounds.append((points, rates))
-        self.best = _incumbent(self.best, points, rates)
-
-
 def _grid_refine(evaluate, searches: list[_Search]) -> None:
     """Run searches in lockstep: a grid round, then each search's refinement
     rounds around its incumbent.  Round k of every search that has one goes
@@ -334,22 +324,13 @@ def _grid_refine(evaluate, searches: list[_Search]) -> None:
             search.record(points, rates)
 
 
-def _alone(search: _Search, objective) -> _Search:
-    _grid_refine(lambda _, rounds: [objective(rounds[0])], [search])
-    return search
-
-
-def _finite_search(spec: OptimizationSpec, rate: _Rate | None = None) -> _Search:
-    return _Search(((spec.v_m_grid, _log_window), (spec.r_grid, _linear_window)),
-                   spec.refinement_rounds, rate)
-
-
-def _finite_result(search: _Search) -> OptimizationResult:
-    rate, v_m, ratio = search.best
-    return OptimizationResult(v_m=v_m, ratio=ratio, rate=rate,
-                              no_positive_rate=rate <= 0.0,
-                              evaluations=sum(len(rates) for _, rates in search.rounds),
-                              _rounds=search.rounds)
+def _optimize(spec: OptimizationSpec) -> OptimizationResult:
+    """The spec's search on its own: analysis rounds through _Search.evaluate,
+    protocol rounds through the block draws."""
+    search = _Search(spec)
+    evaluate = search.evaluate if spec.mode == "analysis" else _protocol_objective(spec)
+    _grid_refine(lambda _, rounds: [evaluate(rounds[0])], [search])
+    return search.result()
 
 
 def optimize_key_rate(spec: OptimizationSpec) -> OptimizationResult:
@@ -359,70 +340,45 @@ def optimize_key_rate(spec: OptimizationSpec) -> OptimizationResult:
     because the incumbent is carried across rounds, and the reported rate
     equals a re-evaluation at the winning point exactly: analysis-mode
     values are bitwise the oracle's, and protocol mode serves repeated
-    points from its cache.
+    points from its cache.  A spec with n_bar=None searches K_inf over v_m.
     """
-    objective = _make_objective(spec)
-    return _finite_result(_alone(_finite_search(spec), objective))
-
-
-def _asymptotic_search(channel: ChannelParams, xi: float,
-                       v_m_grid: tuple[float, ...] | None = None,
-                       refinement_rounds: int = OptimizationSpec.refinement_rounds,
-                       ) -> _Search:
-    grid = tuple(float(v) for v in (v_m_grid if v_m_grid is not None
-                                    else default_v_m_grid()))
-    if not grid or min(grid) <= 0.0:
-        raise ConfigurationError("v_m grid must be non-empty and positive")
-    return _Search(((grid, _log_window),), refinement_rounds, _Rate(channel, xi))
-
-
-def _asymptotic_result(search: _Search) -> tuple[float, float, list]:
-    rate, v_m = search.best
-    return v_m, rate, _trace(search.rounds)
+    return _optimize(spec)
 
 
 def optimize_asymptotic(channel: ChannelParams, xi: float,
                         v_m_grid: tuple[float, ...] | None = None,
                         refinement_rounds: int = OptimizationSpec.refinement_rounds,
                         ) -> tuple[float, float, list]:
-    """1-D version for the asymptotic rate: returns (v_m, rate, trace)."""
-    search = _asymptotic_search(channel, xi, v_m_grid, refinement_rounds)
-    return _asymptotic_result(_alone(search, _analysis_objective(search.rate)))
+    """1-D version for the asymptotic rate: returns (v_m, rate, trace), the
+    trace as (v_m, rate) pairs.  This is the search
+    OptimizationSpec(channel, xi, None, v_m_grid, refinement_rounds=...)."""
+    result = _optimize(OptimizationSpec(
+        channel, xi, None, default_v_m_grid() if v_m_grid is None else v_m_grid,
+        refinement_rounds=refinement_rounds))
+    return result.v_m, result.rate, [(v_m, rate) for v_m, _, rate in result.trace]
 
 
-def _run_alone(search):
-    if isinstance(search, OptimizationSpec):
-        return optimize_key_rate(search)
-    return optimize_asymptotic(*search)
-
-
-def optimize_lockstep(searches) -> list:
+def optimize_lockstep(specs) -> list[OptimizationResult]:
     """Run many analysis-mode searches in lockstep, one kernel call per round
     for all of them.
 
-    searches holds OptimizationSpecs in analysis mode and argument tuples
-    (channel, xi[, v_m_grid[, refinement_rounds]]) of optimize_asymptotic.
-    Returns what optimize_key_rate or optimize_asymptotic returns for each,
-    in order, bit for bit.  When a round raises, the searches rerun one at
-    a time, in order, so the error raised is the one that running them in
-    turn raises first.  A protocol-mode search draws its blocks in its own
-    order, so it runs on its own, through optimize_key_rate.
+    specs holds OptimizationSpecs in analysis mode, K_inf searches
+    (n_bar=None) among them.  Returns what optimize_key_rate returns for
+    each, in order, bit for bit.  When a round raises, the searches rerun
+    one at a time, in order, so the error raised is the one that running
+    them in turn raises first.  A protocol-mode search draws its blocks in
+    its own order, so it runs on its own, through optimize_key_rate.
     """
-    searches = list(searches)
-    if any(isinstance(search, OptimizationSpec) and search.mode != "analysis"
-           for search in searches):
+    specs = list(specs)
+    if any(spec.mode != "analysis" for spec in specs):
         raise ConfigurationError("lockstep searches run in analysis mode; "
                                  "run a protocol-mode search with optimize_key_rate")
     try:
-        states = [_finite_search(search, _Rate.of(search))
-                  if isinstance(search, OptimizationSpec)
-                  else _asymptotic_search(*search) for search in searches]
-        if states:
-            _grid_refine(lambda active, rounds: _analysis_round(
-                [state.rate for state in active], rounds), states)
+        searches = [_Search(spec) for spec in specs]
+        if searches:
+            _grid_refine(_analysis_round, searches)
     except (ValueError, ArithmeticError):
         # every CVMDIError is one of these; running the searches one at a
         # time raises the first error of the sequential run
-        return [_run_alone(search) for search in searches]
-    return [_finite_result(state) if isinstance(search, OptimizationSpec)
-            else _asymptotic_result(state) for search, state in zip(searches, states)]
+        return [_optimize(spec) for spec in specs]
+    return [search.result() for search in searches]

@@ -1,7 +1,7 @@
 """Analysis-mode batch evaluators against their scalar oracles.
 
-finite_size.projected_key_rates and keyrate.key_rate_batch evaluate a
-whole search round in one array pass.  They must raise if and only if
+optimizer._analysis_round and keyrate.key_rate_batch evaluate a whole
+search round in one array pass.  They must raise if and only if
 projected_key_rate or asymptotic_key_rate raises at some point of the
 round, and otherwise equal them at each point bit for bit.  The rate
 properties at the end run on both routes, and the kernel's I_AB, I_H and
@@ -36,9 +36,8 @@ from cvmdi import (
 )
 from cvmdi import optimizer
 from cvmdi.estimation import _parameter_bounds
-from cvmdi.finite_size import projected_key_rates
 from cvmdi.keyrate import key_rate_batch
-from cvmdi.optimizer import _make_objective
+from cvmdi.optimizer import _analysis_round, _Search
 
 ATTACKS = ("pure-loss", "collective", "two-mode-optimal")
 
@@ -102,10 +101,8 @@ def oracle_rate(spec, v_m, ratio):
 
 
 def batch_rates(spec, points):
-    noise = noise_from_attack(spec.channel)
-    return projected_key_rates(points, spec.channel.tau_a, spec.channel.tau_b, noise,
-                               spec.xi, spec.n_bar, spec.z, spec.eps_pa,
-                               spec.delta_prefactor)
+    """The production batch of one search's round, without the replay."""
+    return _analysis_round([_Search(spec)], [np.array(points)])[0]
 
 
 @st.composite
@@ -124,7 +121,7 @@ class TestRoundsMatchTheOracle:
     def test_round_equals_scalar_objective(self, drawn):
         spec, points = drawn
         expected = outcome(lambda: [oracle_rate(spec, *point) for point in points])
-        assert outcome(lambda: _make_objective(spec)(points)) == expected
+        assert outcome(lambda: _Search(spec).evaluate(np.array(points))) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(rounds())
@@ -226,8 +223,8 @@ class TestFiniteSizeRateBelowAsymptotic:
         channel, xi, v_m, n_bar, ratio, z = drawn
         noise = noise_from_attack(channel)
         try:
-            (rate,) = projected_key_rates(
-                [(v_m, ratio)], channel.tau_a, channel.tau_b, noise, xi, n_bar, z)
+            (rate,) = batch_rates(OptimizationSpec(channel, xi, n_bar, z=z),
+                                  [(v_m, ratio)])
             (k_inf,) = key_rate_batch([v_m], xi, channel.tau_a, channel.tau_b,
                                       noise.excess_q, noise.excess_p)[2]
         except (CVMDIError, ArithmeticError):

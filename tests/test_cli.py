@@ -496,6 +496,21 @@ class TestBadInput:
                        "--tau-a", "0.999257", "--xi", "0.932263") == code
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--bob-db", "0:0:1", "--r-grid", "0:2:3"),
+        ("sweep", "--bob-db", "0:0:1", "--ratio", "1.5"),
+        ("rate", "--bob-db", "0", "--n-bar", "1e6", "--ratio", "1.5"),
+    ])
+    def test_k_inf_search_error_precedes_a_bad_finite_size_flag(self, capsys, argv):
+        # the K_inf search is built first and reads no finite-size flag, so
+        # its state below the physicality band wins over the bad key
+        # fraction, which fails only where the first finite-size search is
+        # built
+        assert run_cli(*argv, "--attack", "pure-loss", "--tau-a", "0.999257",
+                       "--xi", "0.932263") == 3
+        assert capsys.readouterr().err == ("error: conditional joint state is "
+                                           "unphysical: eigenvalue 0.999999998884 < 1\n")
+
     def test_subnormal_modulation_exits_two(self, capsys):
         # T / (tau v_m) overflows, so both quadrature variances are inf and
         # their mix is inf/inf
@@ -529,7 +544,9 @@ DATA = Path(__file__).resolve().parent / "data"
 
 class TestGoldenPayloads:
     """Payload bytes of the rate-surface commands, written before their
-    searches ran in lockstep; any change to a printed digit shows here."""
+    searches ran in lockstep, and of `rate` and an `optimize` trace, written
+    before the K_inf search became a spec; any change to a printed digit
+    shows here."""
 
     @pytest.mark.parametrize("name, argv", [
         ("sweep_default.csv", ("sweep",)),
@@ -539,6 +556,8 @@ class TestGoldenPayloads:
         ("modscan_pure_loss.csv",
          ("modscan", "--attack", "pure-loss", "--tau-b", "0.7", "--xi", "0.95",
           "--n-bar", "1e6")),
+        ("rate_bob2_n1e9.json", ("rate", "--bob-db", "2", "--n-bar", "1e9")),
+        ("optimize_n1e6_trace.txt", ("optimize", "--n-bar", "1e6", "--trace-out", "-")),
     ])
     def test_payload_bytes(self, capsysbinary, name, argv):
         assert run_cli(*argv) == 0

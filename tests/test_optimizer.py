@@ -15,7 +15,6 @@ from cvmdi import (
     optimize_asymptotic,
     optimize_key_rate,
     optimize_lockstep,
-    OptimizationResult,
     OptimizationSpec,
     projected_key_rate,
     ProtocolParams,
@@ -123,6 +122,19 @@ class TestOptimizeAsymptotic:
         with pytest.raises(ConfigurationError):
             optimize_asymptotic(CHANNEL, 0.98, ())
 
+    def test_is_the_search_of_a_spec_without_block_size(self):
+        # n_bar=None replaces a valid r_grid with the key-fraction axis (1.0,)
+        result = optimize_key_rate(OptimizationSpec(CHANNEL, 0.98, None, r_grid=(0.5,)))
+        v_m, rate, trace = optimize_asymptotic(CHANNEL, 0.98)
+        assert [x.hex() for x in (result.v_m, result.ratio, result.rate)] == [
+            x.hex() for x in (v_m, 1.0, rate)]
+        assert result.trace == [(v, 1.0, k) for v, k in trace]
+        assert result.evaluations == len(trace) == 3 * len(default_v_m_grid())
+
+    def test_spec_without_block_size_rejects_protocol_mode(self):
+        with pytest.raises(ConfigurationError, match="analysis mode only"):
+            OptimizationSpec(CHANNEL, 0.98, None, mode="protocol")
+
 
 class TestRefinementWindows:
     @pytest.mark.parametrize("window, center, lo, hi", [
@@ -192,7 +204,8 @@ def lockstep_groups(draw):
                            min_size=1, max_size=4, unique=True))
     searches = []
     for channel, xi, z in draw(st.lists(lockstep_rows(), min_size=1, max_size=3)):
-        searches.append((channel, xi, tuple(v_m_grid), rounds))
+        searches.append(OptimizationSpec(channel, xi, None, tuple(v_m_grid),
+                                         refinement_rounds=rounds))
         searches += [OptimizationSpec(channel, xi, n_bar, tuple(v_m_grid), tuple(r_grid),
                                       z=z, refinement_rounds=rounds)
                      for n_bar in n_bars]
@@ -201,15 +214,9 @@ def lockstep_groups(draw):
 
 def search_bits(result):
     """A search's result with every float as its bit pattern."""
-    if isinstance(result, OptimizationResult):
-        head = (result.v_m, result.ratio, result.rate)
-        flags = (result.no_positive_rate, result.evaluations)
-        trace = result.trace
-    else:
-        v_m, rate, trace = result
-        head, flags = (v_m, rate), ()
-    return ([x.hex() for x in head], flags,
-            [tuple(x.hex() for x in row) for row in trace])
+    return ([x.hex() for x in (result.v_m, result.ratio, result.rate)],
+            (result.no_positive_rate, result.evaluations),
+            [tuple(x.hex() for x in row) for row in result.trace])
 
 
 def outcome(run):
@@ -219,18 +226,12 @@ def outcome(run):
         return type(exc), str(exc)
 
 
-def run_alone(search):
-    if isinstance(search, OptimizationSpec):
-        return optimize_key_rate(search)
-    return optimize_asymptotic(*search)
-
-
 class TestLockstep:
     @settings(max_examples=150, deadline=None)
     @given(lockstep_groups())
     def test_lockstep_equals_searches_run_one_at_a_time(self, searches):
         assert outcome(lambda: optimize_lockstep(searches)) == outcome(
-            lambda: [run_alone(search) for search in searches])
+            lambda: [optimize_key_rate(search) for search in searches])
 
     def test_a_round_of_all_searches_is_one_kernel_call(self, monkeypatch):
         calls = []
@@ -240,7 +241,8 @@ class TestLockstep:
             return key_rate_batch(*args)
 
         monkeypatch.setattr(finite_size, "key_rate_batch", counted)
-        searches = [(CHANNEL, 0.98), small_spec(), small_spec(n_bar=10**9)]
+        searches = [small_spec(n_bar=None, v_m_grid=default_v_m_grid()), small_spec(),
+                    small_spec(n_bar=10**9)]
         optimize_lockstep(searches)
         assert calls == [25 + 2 * 45] * 3
 
