@@ -6,16 +6,18 @@ its own output.  Exit codes: 0 success (a negative best rate is still
 success, flagged in the payload), 2 configuration errors, 3 numerical or
 physicality errors.
 
-`rate`, `sweep` and `modscan` run all their searches in lockstep through
-`optimizer.optimize_lockstep`, which takes `OptimizationSpec`s: a round
-of every search, rows and block sizes together, is one kernel call.  The
-K_inf search of `rate` and of each `sweep` row is `OptimizationSpec` with
-n_bar=None, built from --xi, --v-m-grid and --refinement-rounds only.
-The searches are built in the order a row-by-row run meets them, and
-when a round raises they rerun one at a time in that order, so the error
-message and exit code are the ones the row-by-row run gives.  `optimize`
-runs its one search on its own.  Each grid flag's text is parsed once
-per command, however many searches use it.
+`rate`, `sweep` and `modscan` pass a generator of `OptimizationSpec`s
+to `optimizer.optimize_lockstep`: a round of every search, rows and
+block sizes together, is one kernel call.  The K_inf search of `rate`
+and of each `sweep` row is `OptimizationSpec` with n_bar=None, built from
+--xi, --v-m-grid and --refinement-rounds only; with --v-m, a `sweep`
+row's K_inf search is the one point (--v-m,) with no refinement.  The
+generators yield the searches in the order a row-by-row run meets them,
+and `optimize_lockstep` raises the error that running each search as
+soon as it is built raises first, so the error message and exit code are
+the ones the row-by-row run gives.  `optimize` runs its one search on its
+own.  Each grid flag's text is parsed once per command, however many
+searches use it.
 
 `main(argv)` builds the argument parser on its first call and reuses it
 for the rest of the process, so a process that calls it many times (the
@@ -46,7 +48,7 @@ from .errors import (
 )
 from .estimation import report_from_parameters
 from .finite_size import finite_size_rate, FiniteSizeParams
-from .keyrate import asymptotic_key_rate, key_rate_breakdown, ProtocolParams
+from .keyrate import key_rate_breakdown, ProtocolParams
 from .optimizer import (
     default_r_grid,
     default_v_m_grid,
@@ -123,6 +125,9 @@ def _parse_axis(text: str, name: str) -> tuple[float, ...]:
             raise ConfigurationError(f"bad {name} grid {text!r}: {exc}") from None
         if count < 1:
             raise ConfigurationError(f"{name} grid has zero length: {text!r}")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ConfigurationError(f"bad {name} grid {text!r}: start and stop "
+                                     "must be finite")
         return tuple(float(x) for x in np.linspace(start, stop, count))
     try:
         return (float(text),)
@@ -233,28 +238,14 @@ def _finite_spec(args, channel: ChannelParams, n_bar: int, v_m: float | None = N
 
 
 def _asymptotic_search(args, channel: ChannelParams) -> OptimizationSpec:
-    """The K_inf search (n_bar=None) for the v_m that maximizes K_inf.  It
-    reads --xi, --v-m-grid and --refinement-rounds only, so a bad
-    finite-size flag fails where the first finite-size search is built."""
+    """The K_inf search (n_bar=None) for the v_m that maximizes K_inf, or
+    K_inf at the one point --v-m.  It reads --xi, --v-m, --v-m-grid and
+    --refinement-rounds only, so a bad finite-size flag fails where the
+    first finite-size search is built."""
+    if args.v_m is not None:
+        return OptimizationSpec(channel, args.xi, None, (args.v_m,), refinement_rounds=0)
     return OptimizationSpec(channel, args.xi, None, _parse_log_axis(args.v_m_grid, "v-m"),
                             refinement_rounds=args.refinement_rounds)
-
-
-def _lockstep(build) -> list:
-    """optimize_lockstep over the searches that the iterable build yields.
-
-    Errors come as if each search ran as soon as it was built: when build
-    raises, the searches built before it run first, and an error of theirs
-    is raised in its place.
-    """
-    searches = []
-    try:
-        for search in build:
-            searches.append(search)
-    except (ValueError, ArithmeticError):
-        optimize_lockstep(searches)
-        raise
-    return optimize_lockstep(searches)
 
 
 def cmd_rate(args) -> int:
@@ -272,7 +263,7 @@ def cmd_rate(args) -> int:
         if args.n_bar is not None:
             yield _finite_spec(args, channel, _single_n_bar(args))
 
-    results = _lockstep(searches())
+    results = optimize_lockstep(searches())
     v_m_star = args.v_m if args.v_m is not None else results[0].v_m
     # the search evaluated K_inf at its optimum, so this one cannot raise
     asym = fixed[0] if fixed else key_rate_breakdown(
@@ -331,27 +322,20 @@ def cmd_sweep(args) -> int:
     header += ["v_m_star", "r_star", "k_asymptotic_clipped"]
     header += [f"k_N{_short_number(n)}_clipped" for n in n_bars]
 
-    fixed = []  # K_inf at --v-m, row by row
-
     def searches():
         # every row's asymptotic and finite-size searches, as one group
         for db in db_values:
             tau = db_to_transmissivity(db)
             channel = _channel_for(args, tau if symmetric else args.tau_a, tau)
-            if args.v_m is None:
-                yield _asymptotic_search(args, channel)
-            else:
-                fixed.append(asymptotic_key_rate(ProtocolParams(args.v_m, args.xi),
-                                                 channel.tau_a, channel.tau_b,
-                                                 noise_from_attack(channel)))
+            yield _asymptotic_search(args, channel)
             for n_bar in n_bars:
                 yield _finite_spec(args, channel, n_bar)
 
-    results = iter(_lockstep(searches()))
+    results = iter(optimize_lockstep(searches()))
     rows = []
-    for index, db in enumerate(db_values):
+    for db in db_values:
         # the search's value at its optimum is K_inf there, bit for bit
-        k_asym = next(results).rate if args.v_m is None else fixed[index]
+        k_asym = next(results).rate
         optima = [next(results) for _ in n_bars]
         finite_rates = [result.rate for result in optima]
         # v_m_star / r_star columns describe the first --n-bar entry
@@ -370,7 +354,8 @@ def cmd_modscan(args) -> int:
         raise ConfigurationError(
             "modscan scans v_m over --v-m-grid; give a single point there, not --v-m")
 
-    optima = _lockstep(_finite_spec(args, channel, n_bar, v_m=v_m) for v_m in v_m_values)
+    optima = optimize_lockstep(_finite_spec(args, channel, n_bar, v_m=v_m)
+                               for v_m in v_m_values)
     rows = [(v_m, result.rate) for v_m, result in zip(v_m_values, optima)]
     _write_table(args, config, ["v_m", "rate"], rows)
     return 0

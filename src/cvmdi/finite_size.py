@@ -3,15 +3,19 @@
 The rate is (n/n_bar)(K_inf - penalty), with K_inf taken at the worst-case
 bounds of `estimation`'s one spreads-and-bounds stage.
 projected_key_rate, with finite_size_rate and report_from_parameters, is
-the scalar oracle for one analysis-mode point.  The batch route is
+the scalar oracle for one analysis-mode point; the tests hold the batch
+to it, and the optimizer never calls it.  The batch route is
 _block_splits, the block split and penalty per distinct ratio, then
 _rates, one bounds call and one kernel call over arrays of points that
 each carry their own channel, efficiency, z and block split: the
 optimizer runs a round of every search of a sweep through it at once, the
 K_inf searches (OptimizationSpec with n_bar=None) included as points at
-n_bar = inf.  Both routes read the bounds off that stage and K_inf off
-keyrate's one kernel, so the batch equals the oracle bit for bit, and it
-raises if and only if the oracle raises at some point of the round.
+n_bar = inf, and replays a round that raises one point at a time.  Both
+routes read the bounds off that stage and K_inf off keyrate's one kernel,
+so the batch equals the oracle bit for bit, and it raises if and only if
+the oracle raises at some point of the round.  On one point it raises the
+oracle's error, save that it checks v_m and xi last (OptimizationSpec
+checks its grid when it is built) and the penalty before the bounds.
 """
 
 from __future__ import annotations

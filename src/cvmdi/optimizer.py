@@ -26,10 +26,11 @@ In analysis mode a round of all searches is one finite_size._rates call:
 one bounds call and one keyrate.key_rate_batch call, each value bitwise
 its scalar oracle's (projected_key_rate, asymptotic_key_rate), and
 repeated points are recomputed rather than cached.  The round raises if
-and only if the oracle raises at some of its points.  optimize_lockstep,
-which takes specs, then reruns its searches one at a time, in order, and
-a search on its own replays the round through the oracle point by point,
-so the error raised is the one the sequential run meets first.
+and only if the oracle raises at some of its points.  optimize_lockstep
+then reruns its searches one at a time, in order, and a search on its
+own replays the round one point at a time through the same batch, so the
+error raised is the one the sequential run meets first.  The scalar route
+checks xi and v_m first, so a spec applies that check to its v_m grid.
 optimize_key_rate and optimize_asymptotic are the one-search case.
 
 Protocol mode always runs one search on its own: its scalar objective
@@ -55,9 +56,8 @@ from .finite_size import (
     DEFAULT_EPS_PA,
     finite_size_key_rate,
     FiniteSizeParams,
-    projected_key_rate,
 )
-from .keyrate import asymptotic_key_rate, ProtocolParams
+from .keyrate import ProtocolParams
 from .simulator import SimulationSpec, sample_dataset
 
 MODES = ("analysis", "protocol")
@@ -115,6 +115,8 @@ class OptimizationSpec:
                                      "mode only; protocol mode needs a block size")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        for v_m in self.v_m_grid:
+            ProtocolParams(v_m, self.xi)  # the scalar route's first check
 
 
 @dataclass
@@ -251,26 +253,16 @@ class _Search:
             return np.repeat([[math.inf], [1.0], [0.0]], len(points), axis=1)
         return _block_splits(spec.n_bar, points[:, 1], spec.eps_pa, spec.delta_prefactor)
 
-    def oracle(self, v_m: float, ratio: float) -> float:
-        """The analysis-mode rate at one point: projected_key_rate, or
-        asymptotic_key_rate where n_bar is None."""
-        spec = self.spec
-        protocol = ProtocolParams(v_m, spec.xi)
-        if spec.n_bar is None:
-            return asymptotic_key_rate(protocol, spec.channel.tau_a, spec.channel.tau_b,
-                                       self.noise)
-        fs = FiniteSizeParams.from_ratio(spec.n_bar, ratio, eps_pa=spec.eps_pa)
-        return projected_key_rate(protocol, spec.channel, fs, spec.delta_prefactor, spec.z)
-
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """The analysis-mode rates at a round's points: the batch, or,
-        where it raises, the oracle point by point, which raises the
+        where it raises, the batch point by point, which raises the
         round's first error."""
         try:
             return _analysis_round([self], [points])[0]
         except (ValueError, ArithmeticError):
             pass  # every CVMDIError is one of these; the replay raises
-        return np.array([self.oracle(*point) for point in points.tolist()])
+        return np.concatenate([_analysis_round([self], [point[None]])[0]
+                               for point in points])
 
 
 def _analysis_round(searches: list[_Search], rounds: list[np.ndarray]) -> list[np.ndarray]:
@@ -317,7 +309,7 @@ def _grid_refine(evaluate, searches: list[_Search]) -> None:
     rounds around its incumbent.  Round k of every search that has one goes
     to one evaluate(searches, rounds) call, which takes those searches and
     their points and returns their rates, one array per search."""
-    for round_index in range(max(len(search.factors) for search in searches)):
+    for round_index in range(max((len(search.factors) for search in searches), default=0)):
         active = [search for search in searches if round_index < len(search.factors)]
         rounds = [search.points(round_index) for search in active]
         for search, points, rates in zip(active, rounds, evaluate(active, rounds)):
@@ -362,23 +354,31 @@ def optimize_lockstep(specs) -> list[OptimizationResult]:
     """Run many analysis-mode searches in lockstep, one kernel call per round
     for all of them.
 
-    specs holds OptimizationSpecs in analysis mode, K_inf searches
-    (n_bar=None) among them.  Returns what optimize_key_rate returns for
-    each, in order, bit for bit.  When a round raises, the searches rerun
-    one at a time, in order, so the error raised is the one that running
-    them in turn raises first.  A protocol-mode search draws its blocks in
-    its own order, so it runs on its own, through optimize_key_rate.
+    specs is an iterable of analysis-mode OptimizationSpecs, K_inf
+    searches (n_bar=None) among them.  Returns what optimize_key_rate
+    returns for each, in order, bit for bit.  The error raised is the one
+    that running each spec as soon as specs produces it raises first: a
+    raising round reruns the searches one at a time, in order, and a
+    raising producer is re-raised only after the specs before it ran.  A
+    protocol-mode search draws its blocks in its own order, so it is
+    rejected before anything runs; run it with optimize_key_rate.
     """
-    specs = list(specs)
-    if any(spec.mode != "analysis" for spec in specs):
+    built, error = [], None
+    try:
+        for spec in specs:
+            built.append(spec)
+    except (ValueError, ArithmeticError) as exc:
+        error = exc  # every CVMDIError is one of these
+    if any(spec.mode != "analysis" for spec in built):
         raise ConfigurationError("lockstep searches run in analysis mode; "
                                  "run a protocol-mode search with optimize_key_rate")
     try:
-        searches = [_Search(spec) for spec in specs]
-        if searches:
-            _grid_refine(_analysis_round, searches)
+        searches = [_Search(spec) for spec in built]
+        _grid_refine(_analysis_round, searches)
+        results = [search.result() for search in searches]
     except (ValueError, ArithmeticError):
-        # every CVMDIError is one of these; running the searches one at a
-        # time raises the first error of the sequential run
-        return [_optimize(spec) for spec in specs]
-    return [search.result() for search in searches]
+        # one at a time, the searches raise the sequential run's first error
+        results = [_optimize(spec) for spec in built]
+    if error is not None:
+        raise error
+    return results

@@ -34,7 +34,7 @@ from cvmdi import (
     key_rate_breakdown,
     report_from_parameters,
 )
-from cvmdi import optimizer
+from cvmdi import finite_size, keyrate, optimizer
 from cvmdi.estimation import _parameter_bounds
 from cvmdi.keyrate import key_rate_batch
 from cvmdi.optimizer import _analysis_round, _Search
@@ -157,14 +157,19 @@ class TestRoundsMatchTheOracle:
         def forbidden(*args, **kwargs):
             raise AssertionError("scalar oracle called on the batch path")
 
-        monkeypatch.setattr(optimizer, "projected_key_rate", forbidden)
-        monkeypatch.setattr(optimizer, "asymptotic_key_rate", forbidden)
+        # a raising round replays through the batch as well
+        assert not hasattr(optimizer, "projected_key_rate")
+        assert not hasattr(optimizer, "asymptotic_key_rate")
+        monkeypatch.setattr(finite_size, "projected_key_rate", forbidden)
+        monkeypatch.setattr(keyrate, "asymptotic_key_rate", forbidden)
         channel = ChannelParams.two_mode_optimal(0.98, db_to_transmissivity(2.0),
                                                  1.01, 1.01)
         result = optimize_key_rate(OptimizationSpec(channel=channel, xi=0.98,
                                                     n_bar=10**9))
         assert result.evaluations == 675
         assert optimize_asymptotic(channel, 0.98)[1] > 0.0
+        with pytest.raises(PhysicalityError, match="eigenvalue 0.999999998884 < 1"):
+            optimize_asymptotic(ChannelParams.pure_loss(0.999257, 1.0), 0.932263)
 
     def test_near_lossless_search_replays_the_oracle_error(self):
         # a rounding error puts the conditional state 1.1e-9 below the band

@@ -511,6 +511,41 @@ class TestBadInput:
         assert capsys.readouterr().err == ("error: conditional joint state is "
                                            "unphysical: eigenvalue 0.999999998884 < 1\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("optimize", "--v-m", "inf"),
+         "v_m (modulation variance) must be finite and >= 0, got inf"),
+        (("optimize", "--v-m", "nan"),
+         "v_m (modulation variance) must be finite and >= 0, got nan"),
+        (("modscan", "--tau-b", "0.5", "--v-m-grid", "inf"),
+         "v_m (modulation variance) must be finite and >= 0, got inf"),
+        # the bad efficiency wins over the bad z, which the bounds reject
+        (("optimize", "--xi", "1.5", "--z", "-1"),
+         "reconciliation efficiency must lie in (0, 1], got 1.5"),
+        # a sweep row's K_inf search at --v-m is a one-point spec, whose grid
+        # must be positive
+        (("sweep", "--v-m", "-1", "--bob-db", "2"),
+         "v_m grid must be non-empty and positive"),
+    ])
+    def test_modulation_and_efficiency_are_checked_before_the_batch(self, capsys, argv,
+                                                                     message):
+        # the scalar route checks v_m and xi first and a batch last, so a spec
+        # checks its grid and efficiency when it is built
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, name", [
+        (("sweep", "--bob-db", "2", "--v-m-grid", "1:inf:3"), "v-m"),
+        (("sweep", "--bob-db", "2", "--r-grid", "0.1:inf:3"), "ratio"),
+        (("sweep", "--bob-db", "0:inf:3"), "bob-db"),
+        (("sweep", "--bob-db", "0:1e309:2"), "bob-db"),
+        (("sweep", "--common-db", "nan:1:2"), "common-db"),
+    ])
+    def test_non_finite_grid_endpoint_exits_two(self, capsys, argv, name):
+        # rejected before np.linspace, which would warn on an inf endpoint
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == (f"error: bad {name} grid {argv[-1]!r}: start "
+                                           "and stop must be finite\n")
+
     def test_subnormal_modulation_exits_two(self, capsys):
         # T / (tau v_m) overflows, so both quadrature variances are inf and
         # their mix is inf/inf
@@ -544,8 +579,9 @@ DATA = Path(__file__).resolve().parent / "data"
 
 class TestGoldenPayloads:
     """Payload bytes of the rate-surface commands, written before their
-    searches ran in lockstep, and of `rate` and an `optimize` trace, written
-    before the K_inf search became a spec; any change to a printed digit
+    searches ran in lockstep, of `rate` and an `optimize` trace, written
+    before the K_inf search became a spec, and of `sweep --v-m`, written
+    before its K_inf became a one-point spec; any change to a printed digit
     shows here."""
 
     @pytest.mark.parametrize("name, argv", [
@@ -558,6 +594,7 @@ class TestGoldenPayloads:
           "--n-bar", "1e6")),
         ("rate_bob2_n1e9.json", ("rate", "--bob-db", "2", "--n-bar", "1e9")),
         ("optimize_n1e6_trace.txt", ("optimize", "--n-bar", "1e6", "--trace-out", "-")),
+        ("sweep_v_m10.csv", ("sweep", "--v-m", "10", "--bob-db", "0:20:5")),
     ])
     def test_payload_bytes(self, capsysbinary, name, argv):
         assert run_cli(*argv) == 0

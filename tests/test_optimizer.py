@@ -9,6 +9,7 @@ from cvmdi import (
     ConfigurationError,
     CVMDIError,
     db_to_transmissivity,
+    DomainError,
     default_v_m_grid,
     FiniteSizeParams,
     finite_size,
@@ -19,6 +20,7 @@ from cvmdi import (
     projected_key_rate,
     ProtocolParams,
 )
+from cvmdi import optimizer
 from cvmdi.keyrate import key_rate_batch
 from cvmdi.optimizer import _better, _incumbent, _linear_window, _log_window
 
@@ -232,6 +234,37 @@ class TestLockstep:
     def test_lockstep_equals_searches_run_one_at_a_time(self, searches):
         assert outcome(lambda: optimize_lockstep(searches)) == outcome(
             lambda: [optimize_key_rate(search) for search in searches])
+
+    @settings(max_examples=60, deadline=None)
+    @given(searches=lockstep_groups(), data=st.data())
+    def test_a_raising_producer_runs_the_specs_before_it_first(self, searches, data):
+        count = data.draw(st.integers(0, len(searches)))
+
+        def produced():
+            yield from searches[:count]
+            raise DomainError("no further spec")
+
+        def one_at_a_time():
+            for search in searches[:count]:
+                optimize_key_rate(search)
+            raise DomainError("no further spec")
+
+        assert outcome(lambda: optimize_lockstep(produced())) == outcome(one_at_a_time)
+
+    def test_a_protocol_spec_is_rejected_before_anything_runs(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(optimizer, "_grid_refine", lambda *args: runs.append(args))
+        near_lossless = ChannelParams.pure_loss(0.999257, 1.0)
+
+        def produced():
+            # the first search alone would exit 3, and the producer fails last
+            yield OptimizationSpec(near_lossless, 0.932263, None)
+            yield small_spec(mode="protocol")
+            raise DomainError("no further spec")
+
+        with pytest.raises(ConfigurationError, match="lockstep searches run in analysis"):
+            optimize_lockstep(produced())
+        assert runs == []
 
     def test_a_round_of_all_searches_is_one_kernel_call(self, monkeypatch):
         calls = []
