@@ -144,45 +144,74 @@ def projected_key_rate(protocol: ProtocolParams, channel: ChannelParams,
     return finite_size_key_rate(protocol, report, fs, delta_prefactor)
 
 
-def _block_splits(n_bar: int, ratios: np.ndarray, eps_pa: float,
-                  delta_prefactor: float) -> np.ndarray:
-    """(m, key fraction, penalty) at each ratio for a block of n_bar, shape
-    (3, len(ratios)), with m as float(m).
+def _split_table(blocks) -> np.ndarray:
+    """The (n_bar, c, prefactor) row _block_splits reads for each block
+    (n_bar, eps_pa, prefactor), c = log2(2 / eps_pa): n_bar is inf for a
+    block of n_bar None, and nan for a block the Python route splits, where
+    n_bar is not an int in [3, 2**53], eps_pa is not in (0, 1) or the
+    penalty at n = 1 is not a finite float."""
+    rows = []
+    for n_bar, eps_pa, prefactor in blocks:
+        rows.append((math.inf, 1.0, 0.0) if n_bar is None else (math.nan, 1.0, 1.0))
+        if (type(n_bar) is int and 3 <= n_bar <= 2 ** 53 and isinstance(eps_pa, float)
+                and isinstance(prefactor, float) and 0.0 < eps_pa < 1.0 and 0.0 <= prefactor):
+            c = math.log2(2.0 / eps_pa)
+            if prefactor * math.sqrt(c) < math.inf:
+                rows[-1] = (float(n_bar), c, prefactor)
+    return np.array(rows).reshape(-1, 3)
 
-    FiniteSizeParams.from_ratio and finite_size_penalty run in Python once
-    per distinct ratio, so block sizes past 2**53 split exactly, and raise
-    what they raise for some ratio.
+
+def _block_splits(blocks, table: np.ndarray, ratios: np.ndarray,
+                  owners: np.ndarray) -> np.ndarray:
+    """(m, key fraction, penalty) of ratios[i] in the block blocks[owners[i]],
+    shape (3, len(ratios)), with m as float(m), and (inf, 1, 0) where n_bar
+    is None; table is _split_table(blocks).
+
+    While 3 <= n_bar <= 2**53 and the parameters are valid, a split is
+    IEEE-exact array arithmetic: round(ratio * n_bar) is np.rint of the same
+    product, both rounding half to even, then the clamps, n / n_bar and
+    prefactor * sqrt(c / n).  Elsewhere FiniteSizeParams.from_ratio and
+    finite_size_penalty run in Python once per distinct block and ratio, so
+    block sizes past 2**53 split exactly, and raise what they raise.
     """
-    # a dict, not np.unique: a first sort maps about 1 MB of numpy's sorting
-    # code into the process
-    distinct: dict[float, int] = {}
-    which = [distinct.setdefault(ratio, len(distinct)) for ratio in ratios.tolist()]
-    splits = []
-    for ratio in distinct:
-        fs = FiniteSizeParams.from_ratio(n_bar, ratio, eps_pa=eps_pa)
-        splits.append((float(fs.m), fs.ratio,
-                       finite_size_penalty(fs.n, eps_pa, delta_prefactor)))
-    return np.array(splits).reshape(-1, 3)[which].T
+    n_bar, c, prefactor = table[owners].T
+    exact = (n_bar < math.inf) & (ratios > 0.0) & (ratios < 1.0)
+    n_bar_inf = n_bar == math.inf
+    n_bar = np.where(exact, n_bar, 3.0)  # any block the array route can split
+    m = np.minimum(np.maximum(n_bar - np.rint(ratios * n_bar), 2.0), n_bar - 1.0)
+    n = n_bar - m
+    splits = np.array([m, n / n_bar, prefactor * np.sqrt(c / n)])
+    splits[:, n_bar_inf] = ((math.inf,), (1.0,), (0.0,))
+    distinct: dict[tuple, tuple[float, float, float]] = {}
+    for i in np.flatnonzero(~(exact | n_bar_inf)).tolist():
+        key = (blocks[owners[i]], ratios[i].item())
+        if key not in distinct:
+            (n_bar, eps_pa, delta_prefactor), ratio = key
+            fs = FiniteSizeParams.from_ratio(n_bar, ratio, eps_pa=eps_pa)
+            distinct[key] = (float(fs.m), fs.ratio,
+                             finite_size_penalty(fs.n, eps_pa, delta_prefactor))
+        splits[:, i] = distinct[key]
+    return splits
 
 
-def _rates(v_m: np.ndarray, xi, tau_a, tau_b, noise, m: np.ndarray,
-           key_fraction: np.ndarray, penalty: np.ndarray, z) -> np.ndarray:
+def _rates(v_m: np.ndarray, kernel: np.ndarray, splits: np.ndarray) -> np.ndarray:
     """Rates (n/n_bar)(K_inf - penalty) over arrays of points (k,), from one
     bounds call and one kernel call.
 
-    xi, tau_a, tau_b and z are scalars or one per point, and noise is an
-    (excess_q, excess_p) pair of the same kind, so that points of many
-    searches share a round.  A point with m = inf is at n_bar = inf: key
-    fraction 1, penalty 0 and K_inf at the true channel, since its spreads
-    would be 0/0; its rate 1.0 * (K_inf - 0.0) is K_inf bit for bit, NaN and
-    -0.0 included.  Raises if and only if some point's oracle raises.
+    kernel is (6, k), the rows xi, tau_a, tau_b, excess_q, excess_p and z,
+    and splits the (3, k) block splits (m, key fraction, penalty), one
+    column per point, so that points of many searches share a round.  A
+    point with m = inf is at n_bar = inf: key fraction 1, penalty 0 and
+    K_inf at the true channel, since its spreads would be 0/0; its rate
+    1.0 * (K_inf - 0.0) is K_inf bit for bit, NaN and -0.0 included.  Raises
+    if and only if some point's oracle raises.
     """
-    worst = np.array(np.broadcast_arrays(tau_a, tau_b, *noise, v_m)[:4])
-    finite = m < math.inf
-    if finite.any():
-        tau_low, excess_up = _parameter_bounds(
-            *worst[:2, finite], worst[2:, finite], v_m[finite], m[finite],
-            np.broadcast_to(z, v_m.shape)[finite])
-        worst[:2, finite], worst[2:, finite] = tau_low, excess_up
-    k_infinity = key_rate_batch(v_m, xi, *worst)[2]
+    m, key_fraction, penalty = splits
+    worst = kernel[1:5].copy()
+    finite = np.flatnonzero(m < math.inf)
+    if len(finite):
+        tau_a, tau_b, excess_q, excess_p = worst[:, finite]
+        worst[:2, finite], worst[2:, finite] = _parameter_bounds(
+            tau_a, tau_b, (excess_q, excess_p), v_m[finite], m[finite], kernel[5, finite])
+    k_infinity = key_rate_batch(v_m, kernel[0], *worst)[2]
     return key_fraction * (k_infinity - penalty)

@@ -52,6 +52,7 @@ from .estimation import DEFAULT_Z, estimate_channel
 from .finite_size import (
     _block_splits,
     _rates,
+    _split_table,
     DEFAULT_DELTA_PREFACTOR,
     DEFAULT_EPS_PA,
     finite_size_key_rate,
@@ -115,8 +116,11 @@ class OptimizationSpec:
                                      "mode only; protocol mode needs a block size")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        for v_m in self.v_m_grid:
-            ProtocolParams(v_m, self.xi)  # the scalar route's first check
+        # the scalar route's first check at each v_m: the first point's, then
+        # the first v_m it rejects
+        ProtocolParams(self.v_m_grid[0], self.xi)
+        ProtocolParams(next((v_m for v_m in self.v_m_grid if not 0.0 <= v_m < math.inf),
+                            self.v_m_grid[0]), self.xi)
 
 
 @dataclass
@@ -149,31 +153,50 @@ def _better(candidate: tuple[float, ...], best: tuple[float, ...]) -> bool:
     return candidate[2:] > best[2:]
 
 
-def _incumbent(best, points: np.ndarray, rates: np.ndarray):
-    """The incumbent after a round, as scanning its points in order finds
-    it: a point takes over where its rate is >= the incumbent's, which no
-    NaN meets, and _better holds.  The first point of a search is the
-    incumbent even when its rate is NaN.  best and the result are
-    (rate, *point) tuples of floats, or best is None before any round."""
+def _incumbents(best, points: np.ndarray, rates: np.ndarray, starts: np.ndarray,
+                owner: np.ndarray):
+    """The incumbents after a round of many searches, owner[i] the search of
+    points[i] and each search's points contiguous from starts[search], as
+    scanning its points in order finds them: a point takes over where its
+    rate is >= the incumbent's, which no NaN meets, and _better holds.  A
+    search's first point is its incumbent even when its rate is NaN.  best
+    is a (searches, 1 + axes) array of (rate, *point) rows, which this
+    updates and returns, or None before any round."""
+    columns = [rates, *points.T]
     if best is None:
-        best = (rates[0].item(), *points[0].tolist())
-    index = np.flatnonzero(rates >= best[0])
-    if not len(index):
-        return best
-    # the first point of the round's best (rate, -v_m, ratio), as _better
-    # orders them
-    index = index[rates[index] == rates[index].max()]
-    if len(index) > 1:
-        index = index[points[index, 0] == points[index, 0].min()]
-        for axis in range(1, points.shape[1]):
-            index = index[points[index, axis] == points[index, axis].max()]
-    candidate = (rates[index[0]].item(), *points[index[0]].tolist())
-    return candidate if _better(candidate, best) else best
+        best = np.column_stack([column[starts] for column in columns])
+    keep = rates >= best[owner, 0]
+    # each search's first point by (rate, -v_m, ratio), as _better orders
+    # them: its points are filtered axis by axis until one at most is left
+    for axis, column in enumerate(columns):
+        top, void = (np.minimum, math.inf) if axis == 1 else (np.maximum, -math.inf)
+        keep &= column == top.reduceat(np.where(keep, column, void), starts)[owner]
+        index = np.flatnonzero(keep)
+        search = owner[index]
+        if (search[1:] > search[:-1]).all():
+            break
+    else:
+        first = np.diff(search, prepend=-1) > 0
+        index, search = index[first], search[first]
+    candidate, old = np.column_stack([column[index] for column in columns]), best[search]
+    better = np.zeros(len(index), bool)
+    for axis in reversed(range(len(columns))):
+        new, was = candidate[:, axis], old[:, axis]
+        better = np.where(new != was, new < was if axis == 1 else new > was, better)
+    best[search[better]] = candidate[better]
+    return best
+
+
+def _incumbent(best, points: np.ndarray, rates: np.ndarray):
+    """_incumbents of one search, with best and the result as tuples."""
+    best = None if best is None else np.array([best])
+    return tuple(_incumbents(best, points, rates, np.zeros(1, int),
+                             np.zeros(len(rates), int))[0].tolist())
 
 
 def _log_window(center: float, count: int, lo: float, hi: float, factor: float):
     """Log-spaced window over 1/factor of the decades of [lo, hi], centred
-    on center as far as the bounds allow."""
+    on center as far as the bounds allow.  _windows builds it, bit for bit."""
     lo_l, hi_l = math.log10(lo), math.log10(hi)
     width = (hi_l - lo_l) / factor
     if width == 0.0:
@@ -190,95 +213,153 @@ def _linear_window(center: float, count: int, lo: float, hi: float, factor: floa
     return np.linspace(start, start + width, count)
 
 
-def _round_points(grids) -> np.ndarray:
-    """The grids' product in row-major order, first axis outermost, as a
-    (points, axes) array."""
-    count = math.prod(len(grid) for grid in grids)
-    columns, outer = [], 1
-    for grid in grids:
-        columns.append(np.tile(np.repeat(grid, count // (outer * len(grid))), outer))
-        outer *= len(grid)
-    return np.column_stack(columns)
+@functools.lru_cache(maxsize=8)
+def _layout(counts: bytes):
+    """Index arrays of a round whose windows have the lengths counts, a (2,
+    searches) int array as bytes, row 0 the v_m windows: each value's window
+    and its index in it, each window's last value, each point's search and
+    the indices of its v_m among the values and of its ratio among the
+    ratios, each search's first point, and each ratio's search.  Values
+    hold every v_m window before every ratio window, and the points of a
+    search are its windows' product, row-major, first axis outermost."""
+    counts = np.frombuffer(counts, int)
+    ends = np.cumsum(counts)
+    window = np.repeat(np.arange(len(counts)), counts)
+    lengths, widths = counts.reshape(2, -1)
+    sizes = lengths * widths
+    starts = np.cumsum(sizes) - sizes
+    search = np.repeat(np.arange(len(sizes)), sizes)
+    v_m, ratio = np.divmod(np.arange(sizes.sum()) - starts[search], widths[search])
+    offsets = (ends - counts).reshape(2, -1)
+    return (window, np.arange(ends[-1]) - (ends - counts)[window], ends - 1, search,
+            v_m + offsets[0][search], ratio + (offsets[1] - offsets[1, 0])[search],
+            starts, np.repeat(np.arange(len(sizes)), widths))
 
 
-class _Search:
-    """One search of a lockstep group, built from its spec: the relay noise
-    of its attack, its axes, one (grid, window) pair per coordinate of a
-    point, its window factors, its incumbent (rate, *point) and its
-    evaluated rounds as (points, rates) arrays.  A plain class: a dataclass
-    would compile its methods on every import of the package."""
+def _windows(centres: np.ndarray, lo: np.ndarray, hi: np.ndarray, counts: np.ndarray,
+             factor: float):
+    """Many searches' windows in one broadcast.  Every argument but factor
+    is (2, searches): row 0 is the v_m axis, whose lo and hi are log10 of
+    the grid's ends, and row 1 the ratio axis.  Returns the windows' values,
+    every v_m window before every ratio window, and their (2, searches)
+    lengths, each window bitwise _log_window's or _linear_window's:
+    np.linspace and np.logspace written out per window, the zero-step
+    branch included, and a window of width 0 its centre alone."""
+    at = centres.copy()
+    at[0] = list(map(math.log10, centres[0].tolist()))  # libm, as _log_window
+    width = (hi - lo) / factor
+    counts = np.where(width == 0.0, 1, counts)
+    window, index, last = _layout(counts.tobytes())[:3]
+    start = at - width / 2.0
+    start = np.where(lo > start, lo, start)
+    start = np.where(hi - width < start, hi - width, start).ravel()
+    width, div = width.ravel(), np.maximum(counts.ravel() - 1, 1)
+    stop = start + width
+    delta = stop - start
+    step = delta / div
+    zero = step == 0.0
+    values = (np.where(zero[window], index / div[window], index)
+              * np.where(zero, delta, step)[window] + start[window])
+    values[last] = stop
+    flat = last[width == 0.0]
+    values[flat] = 0.0
+    log = last[len(last) // 2 - 1] + 1  # the v_m windows' length
+    values[:log] = 10.0 ** values[:log]
+    values[flat] = centres.ravel()[width == 0.0]
+    return values, counts
 
-    def __init__(self, spec: OptimizationSpec):
-        # raises for an attack too noisy to represent, in both modes
-        self.noise = noise_from_attack(spec.channel)
-        rounds = spec.refinement_rounds
-        if rounds < 0:
-            raise ConfigurationError("need refinement_rounds >= 0")
+
+class _Group:
+    """A lockstep group of searches as arrays, one column per spec: the
+    kernel inputs of its attack (xi, tau_a, tau_b, excess noise, z), its
+    axes' hulls, grid lengths and round counts, the block split table,
+    the incumbents (rate, v_m, ratio) and the evaluated rounds.  A plain
+    class: a dataclass would compile its methods on every import of the
+    package."""
+
+    def __init__(self, specs: list[OptimizationSpec]):
+        kernel, hulls = [], []
+        for spec in specs:
+            # raises for an attack too noisy to represent, in both modes
+            noise = noise_from_attack(spec.channel)
+            rounds = spec.refinement_rounds
+            if rounds < 0:
+                raise ConfigurationError("need refinement_rounds >= 0")
+            try:
+                SHRINK ** rounds  # the last round's window factor
+            except OverflowError:
+                raise ConfigurationError(
+                    f"refinement_rounds {rounds} is too large: the window shrink factor "
+                    f"{SHRINK} ** {rounds} overflows") from None
+            kernel.append((spec.xi, spec.channel.tau_a, spec.channel.tau_b,
+                           noise.excess_q, noise.excess_p, spec.z))
+            hulls.append((math.log10(min(spec.v_m_grid)), min(spec.r_grid),
+                          math.log10(max(spec.v_m_grid)), max(spec.r_grid)))
+        self.specs = specs
+        self.kernel = np.array(kernel).reshape(-1, 6).T.copy()
+        self.lo, self.hi = np.array(hulls).reshape(-1, 2, 2).transpose(1, 2, 0)
+        self.rounds = np.array([spec.refinement_rounds + 1 for spec in specs], int)
+        self.counts = np.array([[len(spec.v_m_grid) for spec in specs],
+                                [len(spec.r_grid) for spec in specs]]).reshape(2, -1)
+        self.grids = np.array([v for spec in specs for v in spec.v_m_grid]
+                              + [r for spec in specs for r in spec.r_grid])
+        self.blocks = [(spec.n_bar, spec.eps_pa, spec.delta_prefactor) for spec in specs]
+        self.splits = _split_table(self.blocks)
+        self.best = np.empty((len(specs), 3))
+        self.log: list[tuple[np.ndarray, ...]] = []
+
+    def round(self, k: int):
+        """Round k's points, each search's grids, or from round 1 on its
+        windows around its incumbent with factor SHRINK ** k, in row-major
+        order, first axis outermost; the search of each point; and the
+        round's ratio axis as (ratios, their searches, each point's index
+        into them)."""
+        self.active = active = np.flatnonzero(self.rounds > k)
+        values, counts = self.grids, self.counts[:, active]
+        if k:
+            values, counts = _windows(self.best[active, 1:].T, self.lo[:, active],
+                                      self.hi[:, active], counts, SHRINK ** k)
+        *_, self.search, v_m, ratio, self.starts, ratio_search = _layout(counts.tobytes())
+        ratios = values[counts[0].sum():]
+        points = np.stack((values[v_m], ratios[ratio]), axis=1)
+        return points, active[self.search], (ratios, active[ratio_search], ratio)
+
+    def rates(self, points: np.ndarray, owner: np.ndarray, axis=None) -> np.ndarray:
+        """Analysis-mode rates at points, owner[i] the search of points[i],
+        through one finite_size._rates call.  The block splits are taken on
+        axis, the round's ratio axis, or else at each point.  Raises if and
+        only if some point's oracle raises."""
+        ratios, ratio_owner, index = (points[:, 1], owner, None) if axis is None else axis
+        splits = _block_splits(self.blocks, self.splits, ratios, ratio_owner)
+        return _rates(points[:, 0], self.kernel[:, owner],
+                      splits if index is None else splits[:, index])
+
+    def evaluate(self, points: np.ndarray, owner: np.ndarray, axis=None) -> np.ndarray:
+        """rates, or, where they raise, the points one at a time through the
+        batch, which raises the round's first error."""
         try:
-            self.factors = [SHRINK ** k for k in range(rounds + 1)]
-        except OverflowError:
-            raise ConfigurationError(
-                f"refinement_rounds {rounds} is too large: the window shrink factor "
-                f"{SHRINK} ** {rounds} overflows") from None
-        self.spec = spec
-        self.axes = ((spec.v_m_grid, _log_window), (spec.r_grid, _linear_window))
-        self.best: tuple[float, ...] | None = None
-        self.rounds: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def points(self, round_index: int) -> np.ndarray:
-        """Round k's points: each grid replaced, from round 1 on, by
-        window(incumbent, len(grid), min(grid), max(grid), SHRINK ** k)."""
-        if round_index == 0:
-            return _round_points([grid for grid, _ in self.axes])
-        factor = self.factors[round_index]
-        return _round_points([window(center, len(grid), min(grid), max(grid), factor)
-                              for (grid, window), center in zip(self.axes, self.best[1:])])
-
-    def record(self, points: np.ndarray, rates: np.ndarray) -> None:
-        self.rounds.append((points, rates))
-        self.best = _incumbent(self.best, points, rates)
-
-    def result(self) -> OptimizationResult:
-        rate, v_m, ratio = self.best
-        return OptimizationResult(v_m=v_m, ratio=ratio, rate=rate,
-                                  no_positive_rate=rate <= 0.0,
-                                  evaluations=sum(len(rates) for _, rates in self.rounds),
-                                  _rounds=self.rounds)
-
-    def splits(self, points: np.ndarray) -> np.ndarray:
-        """(m, key fraction, penalty) at each analysis-mode point, m = inf
-        where n_bar is None."""
-        spec = self.spec
-        if spec.n_bar is None:
-            return np.repeat([[math.inf], [1.0], [0.0]], len(points), axis=1)
-        return _block_splits(spec.n_bar, points[:, 1], spec.eps_pa, spec.delta_prefactor)
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """The analysis-mode rates at a round's points: the batch, or,
-        where it raises, the batch point by point, which raises the
-        round's first error."""
-        try:
-            return _analysis_round([self], [points])[0]
+            return self.rates(points, owner, axis)
         except (ValueError, ArithmeticError):
             pass  # every CVMDIError is one of these; the replay raises
-        return np.concatenate([_analysis_round([self], [point[None]])[0]
-                               for point in points])
+        return np.concatenate([self.rates(points[i:i + 1], owner[i:i + 1])
+                               for i in range(len(points))])
 
+    def record(self, points: np.ndarray, rates: np.ndarray) -> None:
+        best = self.best[self.active] if self.log else None
+        self.best[self.active] = _incumbents(best, points, rates, self.starts, self.search)
+        self.log.append((self.active, self.starts, points, rates))
 
-def _analysis_round(searches: list[_Search], rounds: list[np.ndarray]) -> list[np.ndarray]:
-    """One round of many analysis searches, searches[i] at the points
-    rounds[i], through one finite_size._rates call: the rates, one array
-    per search.  Raises if and only if some point's oracle raises."""
-    counts = [len(points) for points in rounds]
-    xi, tau_a, tau_b, excess_q, excess_p, z = np.repeat(
-        [(search.spec.xi, search.spec.channel.tau_a, search.spec.channel.tau_b,
-          search.noise.excess_q, search.noise.excess_p, search.spec.z)
-         for search in searches], counts, axis=0).T
-    m, key_fraction, penalty = np.concatenate(
-        [search.splits(points) for search, points in zip(searches, rounds)], axis=1)
-    v_m = np.concatenate([points[:, 0] for points in rounds])
-    return np.split(_rates(v_m, xi, tau_a, tau_b, (excess_q, excess_p), m, key_fraction,
-                           penalty, z), np.cumsum(counts)[:-1])
+    def results(self) -> list[OptimizationResult]:
+        rounds: list[list] = [[] for _ in self.specs]
+        for active, starts, points, rates in self.log:
+            ends = [*starts[1:].tolist(), len(rates)]
+            for search, start, end in zip(active.tolist(), starts.tolist(), ends):
+                rounds[search].append((points[start:end], rates[start:end]))
+        return [OptimizationResult(v_m=v_m, ratio=ratio, rate=rate,
+                                   no_positive_rate=rate <= 0.0,
+                                   evaluations=sum(len(rates) for _, rates in trace),
+                                   _rounds=trace)
+                for (rate, v_m, ratio), trace in zip(self.best.tolist(), rounds)]
 
 
 def _protocol_objective(spec: OptimizationSpec):
@@ -295,7 +376,7 @@ def _protocol_objective(spec: OptimizationSpec):
                                   z=spec.z)
         return finite_size_key_rate(protocol, report, fs, spec.delta_prefactor)
 
-    def evaluate(points: np.ndarray) -> np.ndarray:
+    def evaluate(points: np.ndarray, *_) -> np.ndarray:
         for point in map(tuple, points.tolist()):
             if point not in cache:
                 cache[point] = scalar(len(cache), *point)
@@ -304,25 +385,22 @@ def _protocol_objective(spec: OptimizationSpec):
     return evaluate
 
 
-def _grid_refine(evaluate, searches: list[_Search]) -> None:
-    """Run searches in lockstep: a grid round, then each search's refinement
-    rounds around its incumbent.  Round k of every search that has one goes
-    to one evaluate(searches, rounds) call, which takes those searches and
-    their points and returns their rates, one array per search."""
-    for round_index in range(max((len(search.factors) for search in searches), default=0)):
-        active = [search for search in searches if round_index < len(search.factors)]
-        rounds = [search.points(round_index) for search in active]
-        for search, points, rates in zip(active, rounds, evaluate(active, rounds)):
-            search.record(points, rates)
+def _grid_refine(evaluate, group: _Group) -> None:
+    """Run a group's searches in lockstep: a grid round, then each search's
+    refinement rounds around its incumbent.  Round k of every search that
+    has one is one evaluate(*group.round(k)) call, which returns the rates."""
+    for k in range(int(group.rounds.max(initial=0))):
+        points, owner, axis = group.round(k)
+        group.record(points, evaluate(points, owner, axis))
 
 
 def _optimize(spec: OptimizationSpec) -> OptimizationResult:
-    """The spec's search on its own: analysis rounds through _Search.evaluate,
+    """The spec's search on its own: analysis rounds through _Group.evaluate,
     protocol rounds through the block draws."""
-    search = _Search(spec)
-    evaluate = search.evaluate if spec.mode == "analysis" else _protocol_objective(spec)
-    _grid_refine(lambda _, rounds: [evaluate(rounds[0])], [search])
-    return search.result()
+    group = _Group([spec])
+    _grid_refine(group.evaluate if spec.mode == "analysis" else _protocol_objective(spec),
+                 group)
+    return group.results()[0]
 
 
 def optimize_key_rate(spec: OptimizationSpec) -> OptimizationResult:
@@ -373,9 +451,9 @@ def optimize_lockstep(specs) -> list[OptimizationResult]:
         raise ConfigurationError("lockstep searches run in analysis mode; "
                                  "run a protocol-mode search with optimize_key_rate")
     try:
-        searches = [_Search(spec) for spec in built]
-        _grid_refine(_analysis_round, searches)
-        results = [search.result() for search in searches]
+        group = _Group(built)
+        _grid_refine(group.rates, group)
+        results = group.results()
     except (ValueError, ArithmeticError):
         # one at a time, the searches raise the sequential run's first error
         results = [_optimize(spec) for spec in built]

@@ -1,6 +1,6 @@
 """Analysis-mode batch evaluators against their scalar oracles.
 
-optimizer._analysis_round and keyrate.key_rate_batch evaluate a whole
+optimizer._Group.rates and keyrate.key_rate_batch evaluate a whole
 search round in one array pass.  They must raise if and only if
 projected_key_rate or asymptotic_key_rate raises at some point of the
 round, and otherwise equal them at each point bit for bit.  The rate
@@ -37,7 +37,7 @@ from cvmdi import (
 from cvmdi import finite_size, keyrate, optimizer
 from cvmdi.estimation import _parameter_bounds
 from cvmdi.keyrate import key_rate_batch
-from cvmdi.optimizer import _analysis_round, _Search
+from cvmdi.optimizer import _Group
 
 ATTACKS = ("pure-loss", "collective", "two-mode-optimal")
 
@@ -101,8 +101,14 @@ def oracle_rate(spec, v_m, ratio):
 
 
 def batch_rates(spec, points):
-    """The production batch of one search's round, without the replay."""
-    return _analysis_round([_Search(spec)], [np.array(points)])[0]
+    """The production batch of one search's round, without the replay, with
+    its block splits taken on the round's distinct ratios."""
+    points = np.array(points)
+    ratios = list(dict.fromkeys(points[:, 1].tolist()))
+    owner = np.zeros(len(points), int)
+    axis = (np.array(ratios), owner[:len(ratios)],
+            np.array([ratios.index(ratio) for ratio in points[:, 1].tolist()]))
+    return _Group([spec]).rates(points, owner, axis)
 
 
 @st.composite
@@ -121,7 +127,8 @@ class TestRoundsMatchTheOracle:
     def test_round_equals_scalar_objective(self, drawn):
         spec, points = drawn
         expected = outcome(lambda: [oracle_rate(spec, *point) for point in points])
-        assert outcome(lambda: _Search(spec).evaluate(np.array(points))) == expected
+        assert outcome(lambda: _Group([spec]).evaluate(
+            np.array(points), np.zeros(len(points), int))) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(rounds())

@@ -595,6 +595,8 @@ class TestGoldenPayloads:
         ("rate_bob2_n1e9.json", ("rate", "--bob-db", "2", "--n-bar", "1e9")),
         ("optimize_n1e6_trace.txt", ("optimize", "--n-bar", "1e6", "--trace-out", "-")),
         ("sweep_v_m10.csv", ("sweep", "--v-m", "10", "--bob-db", "0:20:5")),
+        ("sweep_n1e20_n1e9_n1e6.json",
+         ("sweep", "--bob-db", "0:20:5", "--n-bar", "1e20,1e9,1e6", "--format", "json")),
     ])
     def test_payload_bytes(self, capsysbinary, name, argv):
         assert run_cli(*argv) == 0
