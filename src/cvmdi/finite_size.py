@@ -1,21 +1,16 @@
 """Finite-size key rate: block bookkeeping and the entropic penalty.
 
 The rate is (n/n_bar)(K_inf - penalty), with K_inf taken at the worst-case
-bounds of `estimation`'s one spreads-and-bounds stage.
-projected_key_rate, with finite_size_rate and report_from_parameters, is
-the scalar oracle for one analysis-mode point; the tests hold the batch
-to it, and the optimizer never calls it.  The batch route is
-_block_splits, the block split and penalty per distinct ratio, then
-_rates, one bounds call and one kernel call over arrays of points that
-each carry their own channel, efficiency, z and block split: the
-optimizer runs a round of every search of a sweep through it at once, the
-K_inf searches (OptimizationSpec with n_bar=None) included as points at
-n_bar = inf, and replays a round that raises one point at a time.  Both
-routes read the bounds off that stage and K_inf off keyrate's one kernel,
-so the batch equals the oracle bit for bit, and it raises if and only if
-the oracle raises at some point of the round.  On one point it raises the
-oracle's error, save that it checks v_m and xi last (OptimizationSpec
-checks its grid when it is built) and the penalty before the bounds.
+bounds of `estimation`'s one spreads-and-bounds stage.  projected_key_rate,
+with finite_size_rate and report_from_parameters, is the scalar oracle for
+one analysis-mode point; the tests hold the batch to it.  The batch route,
+a round of every search of a sweep, is _block_splits on the round's ratio
+axis, in arrays save where n_bar > 2**53 or a parameter is invalid, then
+_rates, one bounds call and one kernel call, K_inf searches (n_bar=None)
+included as points at n_bar = inf.  It equals the oracle bit for bit and
+raises if and only if the oracle raises at some point of the round; on
+one point it raises the oracle's error, save that it checks v_m and xi
+last (OptimizationSpec checks its grid) and the penalty before the bounds.
 """
 
 from __future__ import annotations
@@ -145,67 +140,54 @@ def projected_key_rate(protocol: ProtocolParams, channel: ChannelParams,
 
 
 def _split_table(blocks) -> np.ndarray:
-    """The (n_bar, c, prefactor) row _block_splits reads for each block
-    (n_bar, eps_pa, prefactor), c = log2(2 / eps_pa): n_bar is inf for a
-    block of n_bar None, and nan for a block the Python route splits, where
-    n_bar is not an int in [3, 2**53], eps_pa is not in (0, 1) or the
-    penalty at n = 1 is not a finite float."""
-    rows = []
-    for n_bar, eps_pa, prefactor in blocks:
-        rows.append((math.inf, 1.0, 0.0) if n_bar is None else (math.nan, 1.0, 1.0))
+    """_block_splits' row (n_bar, c = log2(2 / eps_pa), prefactor) per block
+    (n_bar, eps_pa, prefactor): n_bar is inf for None, and nan (the Python
+    route) unless it is an int in [3, 2**53] and the penalty is finite."""
+    rows = [(math.inf, 1.0, 0.0) if block[0] is None else (math.nan, 1.0, 1.0)
+            for block in blocks]
+    for row, (n_bar, eps_pa, prefactor) in enumerate(blocks):
         if (type(n_bar) is int and 3 <= n_bar <= 2 ** 53 and isinstance(eps_pa, float)
-                and isinstance(prefactor, float) and 0.0 < eps_pa < 1.0 and 0.0 <= prefactor):
-            c = math.log2(2.0 / eps_pa)
-            if prefactor * math.sqrt(c) < math.inf:
-                rows[-1] = (float(n_bar), c, prefactor)
+                and isinstance(prefactor, float) and 0.0 < eps_pa < 1.0 and 0.0 <= prefactor
+                and prefactor * math.sqrt(c := math.log2(2.0 / eps_pa)) < math.inf):
+            rows[row] = (float(n_bar), c, prefactor)
     return np.array(rows).reshape(-1, 3)
 
 
 def _block_splits(blocks, table: np.ndarray, ratios: np.ndarray,
                   owners: np.ndarray) -> np.ndarray:
-    """(m, key fraction, penalty) of ratios[i] in the block blocks[owners[i]],
-    shape (3, len(ratios)), with m as float(m), and (inf, 1, 0) where n_bar
-    is None; table is _split_table(blocks).
-
-    While 3 <= n_bar <= 2**53 and the parameters are valid, a split is
-    IEEE-exact array arithmetic: round(ratio * n_bar) is np.rint of the same
-    product, both rounding half to even, then the clamps, n / n_bar and
-    prefactor * sqrt(c / n).  Elsewhere FiniteSizeParams.from_ratio and
-    finite_size_penalty run in Python once per distinct block and ratio, so
-    block sizes past 2**53 split exactly, and raise what they raise.
-    """
+    """(m, key fraction, penalty) of each ratios[i] in blocks[owners[i]],
+    shape (3, k), m as float(m), (inf, 1, 0) where n_bar is None; table is
+    _split_table(blocks).  While 3 <= n_bar <= 2**53 and the parameters are
+    valid this is IEEE-exact array arithmetic: np.rint(ratio * n_bar), half
+    to even as round, the clamps, n / n_bar and prefactor * sqrt(c / n).
+    Elsewhere from_ratio and finite_size_penalty run once per distinct
+    block and ratio, exact past 2**53, raising what they raise."""
     n_bar, c, prefactor = table[owners].T
     exact = (n_bar < math.inf) & (ratios > 0.0) & (ratios < 1.0)
-    n_bar_inf = n_bar == math.inf
-    n_bar = np.where(exact, n_bar, 3.0)  # any block the array route can split
+    at_inf = n_bar == math.inf
+    n_bar = np.where(exact, n_bar, 3.0)  # a block the array route can split
     m = np.minimum(np.maximum(n_bar - np.rint(ratios * n_bar), 2.0), n_bar - 1.0)
     n = n_bar - m
     splits = np.array([m, n / n_bar, prefactor * np.sqrt(c / n)])
-    splits[:, n_bar_inf] = ((math.inf,), (1.0,), (0.0,))
-    distinct: dict[tuple, tuple[float, float, float]] = {}
-    for i in np.flatnonzero(~(exact | n_bar_inf)).tolist():
-        key = (blocks[owners[i]], ratios[i].item())
+    splits[:, at_inf] = ((math.inf,), (1.0,), (0.0,))
+    distinct: dict = {}
+    for i in np.flatnonzero(~(exact | at_inf)).tolist():
+        (n_bar, eps_pa, prefactor), ratio = key = (blocks[owners[i]], ratios[i].item())
         if key not in distinct:
-            (n_bar, eps_pa, delta_prefactor), ratio = key
             fs = FiniteSizeParams.from_ratio(n_bar, ratio, eps_pa=eps_pa)
-            distinct[key] = (float(fs.m), fs.ratio,
-                             finite_size_penalty(fs.n, eps_pa, delta_prefactor))
+            penalty = finite_size_penalty(fs.n, eps_pa, prefactor)
+            distinct[key] = (float(fs.m), fs.ratio, penalty)
         splits[:, i] = distinct[key]
     return splits
 
 
 def _rates(v_m: np.ndarray, kernel: np.ndarray, splits: np.ndarray) -> np.ndarray:
-    """Rates (n/n_bar)(K_inf - penalty) over arrays of points (k,), from one
-    bounds call and one kernel call.
-
-    kernel is (6, k), the rows xi, tau_a, tau_b, excess_q, excess_p and z,
-    and splits the (3, k) block splits (m, key fraction, penalty), one
-    column per point, so that points of many searches share a round.  A
-    point with m = inf is at n_bar = inf: key fraction 1, penalty 0 and
-    K_inf at the true channel, since its spreads would be 0/0; its rate
-    1.0 * (K_inf - 0.0) is K_inf bit for bit, NaN and -0.0 included.  Raises
-    if and only if some point's oracle raises.
-    """
+    """Rates (n/n_bar)(K_inf - penalty) at points (k,) of many searches, from
+    one bounds call and one kernel call; kernel rows are xi, tau_a, tau_b,
+    excess_q, excess_p and z, splits rows m, key fraction and penalty.  At
+    m = inf, n_bar = inf: K_inf at the true channel (its spreads would be
+    0/0), and 1.0 * (K_inf - 0.0) is K_inf bit for bit, NaN and -0.0 too.
+    Raises if and only if some point's oracle raises."""
     m, key_fraction, penalty = splits
     worst = kernel[1:5].copy()
     finite = np.flatnonzero(m < math.inf)
@@ -213,5 +195,4 @@ def _rates(v_m: np.ndarray, kernel: np.ndarray, splits: np.ndarray) -> np.ndarra
         tau_a, tau_b, excess_q, excess_p = worst[:, finite]
         worst[:2, finite], worst[2:, finite] = _parameter_bounds(
             tau_a, tau_b, (excess_q, excess_p), v_m[finite], m[finite], kernel[5, finite])
-    k_infinity = key_rate_batch(v_m, kernel[0], *worst)[2]
-    return key_fraction * (k_infinity - penalty)
+    return key_fraction * (key_rate_batch(v_m, kernel[0], *worst)[2] - penalty)

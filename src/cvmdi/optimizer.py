@@ -12,30 +12,23 @@ no bounds, so its key-fraction axis is fixed at (1.0,), its result has
 ratio 1.0 and its trace rows read (v_m, 1.0, rate).  optimize_asymptotic
 runs that search and returns (v_m, rate, trace) with (v_m, rate) rows.
 
-One engine, _grid_refine, runs any number of searches in lockstep.  Each
-search (_Search) keeps its own grids, windows, incumbent and trace, and
-round k of every search that has one goes to a single evaluation.  A
-round's points are arrays, row-major with the first axis outermost, and
-the incumbent is picked by an array reduction that keeps the scalar rule:
-a larger rate wins, then a smaller v_m, then a larger ratio, and on a tie
-the earlier point; a NaN never takes over, and a NaN first point stays.
-A search's trace tuples are built only when a caller reads
-OptimizationResult.trace.
-
-In analysis mode a round of all searches is one finite_size._rates call:
-one bounds call and one keyrate.key_rate_batch call, each value bitwise
-its scalar oracle's (projected_key_rate, asymptotic_key_rate), and
-repeated points are recomputed rather than cached.  The round raises if
-and only if the oracle raises at some of its points.  optimize_lockstep
-then reruns its searches one at a time, in order, and a search on its
-own replays the round one point at a time through the same batch, so the
-error raised is the one the sequential run meets first.  The scalar route
-checks xi and v_m first, so a spec applies that check to its v_m grid.
-optimize_key_rate and optimize_asymptotic are the one-search case.
-
-Protocol mode always runs one search on its own: its scalar objective
-draws one block per fresh point, from the stream indexed by the number of
-points drawn before it, and serves repeated points from a cache.
+One engine, _Group.run, runs searches in lockstep as arrays, one column
+per search.  Round k of all searches that have one is one evaluation: one
+broadcast (_windows) builds every window, a search's points are the
+row-major product of its axes, and one segmented reduction (_incumbents)
+takes every incumbent by the scalar rule: a larger rate, then a smaller
+v_m, a larger ratio, the earlier point; a NaN never takes over, and a NaN
+first point stays.  In analysis mode a round is one
+finite_size._block_splits call on its ratio axis and one finite_size._rates
+call, each value bitwise its scalar oracle's (projected_key_rate,
+asymptotic_key_rate), and it raises if and only if the oracle raises at
+some point.  optimize_lockstep then reruns
+its searches one at a time, in order, and a search on its own replays the
+round point by point through the batch, so the error raised is the one
+the sequential run meets first.  The scalar route checks xi and v_m first,
+so a spec checks its v_m grid.  Protocol mode runs one search: a fresh
+point draws one block, from the stream indexed by the number of points
+drawn before it in the rounds' order, and a repeated one is cached.
 """
 
 from __future__ import annotations
@@ -116,8 +109,7 @@ class OptimizationSpec:
                                      "mode only; protocol mode needs a block size")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        # the scalar route's first check at each v_m: the first point's, then
-        # the first v_m it rejects
+        # the scalar route's first check: at the first v_m, then the first bad one
         ProtocolParams(self.v_m_grid[0], self.xi)
         ProtocolParams(next((v_m for v_m in self.v_m_grid if not 0.0 <= v_m < math.inf),
                             self.v_m_grid[0]), self.xi)
@@ -143,31 +135,20 @@ class OptimizationResult:
         return list(zip(*points.T.tolist(), rates.tolist()))
 
 
-def _better(candidate: tuple[float, ...], best: tuple[float, ...]) -> bool:
-    # Candidates are (rate, v_m[, ratio]).  Larger rate wins; ties prefer
-    # smaller v_m, then larger ratio.
-    if candidate[0] != best[0]:
-        return candidate[0] > best[0]
-    if candidate[1] != best[1]:
-        return candidate[1] < best[1]
-    return candidate[2:] > best[2:]
-
-
 def _incumbents(best, points: np.ndarray, rates: np.ndarray, starts: np.ndarray,
                 owner: np.ndarray):
-    """The incumbents after a round of many searches, owner[i] the search of
-    points[i] and each search's points contiguous from starts[search], as
-    scanning its points in order finds them: a point takes over where its
-    rate is >= the incumbent's, which no NaN meets, and _better holds.  A
-    search's first point is its incumbent even when its rate is NaN.  best
-    is a (searches, 1 + axes) array of (rate, *point) rows, which this
-    updates and returns, or None before any round."""
+    """The incumbents after a round of searches, owner[i] the search of
+    points[i] and its points contiguous from starts[search], as scanning
+    them in order finds them: a point takes over where its rate is >= the
+    incumbent's, which no NaN meets, and it is better by (rate, -v_m, *other
+    axes).  A first point is the incumbent even when its rate is NaN.  best,
+    updated and returned, holds (rate, *point) rows, or is None at first."""
     columns = [rates, *points.T]
     if best is None:
         best = np.column_stack([column[starts] for column in columns])
     keep = rates >= best[owner, 0]
-    # each search's first point by (rate, -v_m, ratio), as _better orders
-    # them: its points are filtered axis by axis until one at most is left
+    # each search's first point by (rate, -v_m, ratio), the axes filtering
+    # its points in turn until one at most is left
     for axis, column in enumerate(columns):
         top, void = (np.minimum, math.inf) if axis == 1 else (np.maximum, -math.inf)
         keep &= column == top.reduceat(np.where(keep, column, void), starts)[owner]
@@ -178,104 +159,69 @@ def _incumbents(best, points: np.ndarray, rates: np.ndarray, starts: np.ndarray,
     else:
         first = np.diff(search, prepend=-1) > 0
         index, search = index[first], search[first]
-    candidate, old = np.column_stack([column[index] for column in columns]), best[search]
     better = np.zeros(len(index), bool)
     for axis in reversed(range(len(columns))):
-        new, was = candidate[:, axis], old[:, axis]
+        new, was = columns[axis][index], best[search, axis]
         better = np.where(new != was, new < was if axis == 1 else new > was, better)
+    candidate = np.column_stack([column[index] for column in columns])
     best[search[better]] = candidate[better]
     return best
-
-
-def _incumbent(best, points: np.ndarray, rates: np.ndarray):
-    """_incumbents of one search, with best and the result as tuples."""
-    best = None if best is None else np.array([best])
-    return tuple(_incumbents(best, points, rates, np.zeros(1, int),
-                             np.zeros(len(rates), int))[0].tolist())
-
-
-def _log_window(center: float, count: int, lo: float, hi: float, factor: float):
-    """Log-spaced window over 1/factor of the decades of [lo, hi], centred
-    on center as far as the bounds allow.  _windows builds it, bit for bit."""
-    lo_l, hi_l = math.log10(lo), math.log10(hi)
-    width = (hi_l - lo_l) / factor
-    if width == 0.0:
-        return [center]
-    start = min(max(math.log10(center) - width / 2.0, lo_l), hi_l - width)
-    return np.logspace(start, start + width, count)
-
-
-def _linear_window(center: float, count: int, lo: float, hi: float, factor: float):
-    width = (hi - lo) / factor
-    if width == 0.0:
-        return [center]
-    start = min(max(center - width / 2.0, lo), hi - width)
-    return np.linspace(start, start + width, count)
 
 
 @functools.lru_cache(maxsize=8)
 def _layout(counts: bytes):
     """Index arrays of a round whose windows have the lengths counts, a (2,
-    searches) int array as bytes, row 0 the v_m windows: each value's window
-    and its index in it, each window's last value, each point's search and
-    the indices of its v_m among the values and of its ratio among the
-    ratios, each search's first point, and each ratio's search.  Values
-    hold every v_m window before every ratio window, and the points of a
-    search are its windows' product, row-major, first axis outermost."""
+    searches) int array as bytes: each value's window, its index there and
+    each window's last value (every v_m window, row 0, comes first); each
+    point's search and its v_m's index among the values and its ratio's
+    among the ratios; each search's first point; and each ratio's search."""
     counts = np.frombuffer(counts, int)
-    ends = np.cumsum(counts)
-    window = np.repeat(np.arange(len(counts)), counts)
     lengths, widths = counts.reshape(2, -1)
     sizes = lengths * widths
     starts = np.cumsum(sizes) - sizes
     search = np.repeat(np.arange(len(sizes)), sizes)
     v_m, ratio = np.divmod(np.arange(sizes.sum()) - starts[search], widths[search])
-    offsets = (ends - counts).reshape(2, -1)
-    return (window, np.arange(ends[-1]) - (ends - counts)[window], ends - 1, search,
-            v_m + offsets[0][search], ratio + (offsets[1] - offsets[1, 0])[search],
-            starts, np.repeat(np.arange(len(sizes)), widths))
+    window = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    offsets = first.reshape(2, -1) - [[0], [first[len(sizes)]]]
+    return (window, np.arange(len(window)) - first[window], first + counts - 1, search,
+            v_m + offsets[0][search], ratio + offsets[1][search], starts,
+            np.repeat(np.arange(len(sizes)), widths))
 
 
 def _windows(centres: np.ndarray, lo: np.ndarray, hi: np.ndarray, counts: np.ndarray,
              factor: float):
-    """Many searches' windows in one broadcast.  Every argument but factor
-    is (2, searches): row 0 is the v_m axis, whose lo and hi are log10 of
-    the grid's ends, and row 1 the ratio axis.  Returns the windows' values,
-    every v_m window before every ratio window, and their (2, searches)
-    lengths, each window bitwise _log_window's or _linear_window's:
-    np.linspace and np.logspace written out per window, the zero-step
-    branch included, and a window of width 0 its centre alone."""
-    at = centres.copy()
-    at[0] = list(map(math.log10, centres[0].tolist()))  # libm, as _log_window
+    """Every search's windows in one broadcast, each bitwise its own
+    np.logspace (v_m, row 0 of these (2, searches) arrays, lo and hi log10
+    of the grid's ends) or np.linspace (ratio) from start to start + width:
+    width = (hi - lo) / factor, start = centre - width / 2 clipped into [lo,
+    hi - width].  A window of width 0 is its centre.  Returns the values in
+    _layout's order and the windows' lengths."""
+    at = np.array([list(map(math.log10, centres[0].tolist())), centres[1]])  # libm log10
     width = (hi - lo) / factor
     counts = np.where(width == 0.0, 1, counts)
     window, index, last = _layout(counts.tobytes())[:3]
-    start = at - width / 2.0
-    start = np.where(lo > start, lo, start)
+    start = np.where(lo > at - width / 2.0, lo, at - width / 2.0)
     start = np.where(hi - width < start, hi - width, start).ravel()
     width, div = width.ravel(), np.maximum(counts.ravel() - 1, 1)
     stop = start + width
-    delta = stop - start
-    step = delta / div
-    zero = step == 0.0
+    step = (delta := stop - start) / div
+    zero = step == 0.0  # np.linspace's branch for a step that underflows
     values = (np.where(zero[window], index / div[window], index)
               * np.where(zero, delta, step)[window] + start[window])
     values[last] = stop
     flat = last[width == 0.0]
     values[flat] = 0.0
-    log = last[len(last) // 2 - 1] + 1  # the v_m windows' length
+    log = last[len(last) // 2 - 1] + 1
     values[:log] = 10.0 ** values[:log]
     values[flat] = centres.ravel()[width == 0.0]
     return values, counts
 
 
 class _Group:
-    """A lockstep group of searches as arrays, one column per spec: the
-    kernel inputs of its attack (xi, tau_a, tau_b, excess noise, z), its
-    axes' hulls, grid lengths and round counts, the block split table,
-    the incumbents (rate, v_m, ratio) and the evaluated rounds.  A plain
-    class: a dataclass would compile its methods on every import of the
-    package."""
+    """Searches in lockstep, one column per spec: kernel inputs, split table,
+    hulls, grid lengths, round counts and incumbents.  A plain class: a
+    dataclass would compile its methods on every import of the package."""
 
     def __init__(self, specs: list[OptimizationSpec]):
         kernel, hulls = [], []
@@ -295,48 +241,51 @@ class _Group:
                            noise.excess_q, noise.excess_p, spec.z))
             hulls.append((math.log10(min(spec.v_m_grid)), min(spec.r_grid),
                           math.log10(max(spec.v_m_grid)), max(spec.r_grid)))
-        self.specs = specs
         self.kernel = np.array(kernel).reshape(-1, 6).T.copy()
         self.lo, self.hi = np.array(hulls).reshape(-1, 2, 2).transpose(1, 2, 0)
         self.rounds = np.array([spec.refinement_rounds + 1 for spec in specs], int)
-        self.counts = np.array([[len(spec.v_m_grid) for spec in specs],
-                                [len(spec.r_grid) for spec in specs]]).reshape(2, -1)
+        self.counts = np.array([(len(spec.v_m_grid), len(spec.r_grid)) for spec in specs],
+                               int).reshape(-1, 2).T.copy()
         self.grids = np.array([v for spec in specs for v in spec.v_m_grid]
                               + [r for spec in specs for r in spec.r_grid])
         self.blocks = [(spec.n_bar, spec.eps_pa, spec.delta_prefactor) for spec in specs]
-        self.splits = _split_table(self.blocks)
-        self.best = np.empty((len(specs), 3))
-        self.log: list[tuple[np.ndarray, ...]] = []
+        self.splits, self.best = _split_table(self.blocks), np.empty((len(specs), 3))
 
-    def round(self, k: int):
-        """Round k's points, each search's grids, or from round 1 on its
-        windows around its incumbent with factor SHRINK ** k, in row-major
-        order, first axis outermost; the search of each point; and the
-        round's ratio axis as (ratios, their searches, each point's index
-        into them)."""
-        self.active = active = np.flatnonzero(self.rounds > k)
-        values, counts = self.grids, self.counts[:, active]
-        if k:
-            values, counts = _windows(self.best[active, 1:].T, self.lo[:, active],
-                                      self.hi[:, active], counts, SHRINK ** k)
-        *_, self.search, v_m, ratio, self.starts, ratio_search = _layout(counts.tobytes())
-        ratios = values[counts[0].sum():]
-        points = np.stack((values[v_m], ratios[ratio]), axis=1)
-        return points, active[self.search], (ratios, active[ratio_search], ratio)
+    def run(self, evaluate) -> list[OptimizationResult]:
+        """Round k, grids or from k = 1 windows with factor SHRINK ** k, is one
+        evaluate(points, owner, axis) call: owner holds each point's search,
+        axis is (ratios, their searches, each point's index into them)."""
+        traces: list[list] = [[] for _ in self.rounds]
+        for k in range(int(self.rounds.max(initial=0))):
+            active = np.flatnonzero(self.rounds > k)
+            values, counts = self.grids, self.counts[:, active]
+            if k:
+                values, counts = _windows(self.best[active, 1:].T, self.lo[:, active],
+                                          self.hi[:, active], counts, SHRINK ** k)
+            *_, search, v_at, r_at, starts, ratio_search = _layout(counts.tobytes())
+            ratios = values[counts[0].sum():]
+            points = np.stack((values[v_at], ratios[r_at]), axis=1)
+            rates = evaluate(points, active[search], (ratios, active[ratio_search], r_at))
+            self.best[active] = _incumbents(self.best[active] if k else None, points,
+                                            rates, starts, search)
+            ends = [*starts[1:].tolist(), len(rates)]
+            for which, start, end in zip(active.tolist(), starts.tolist(), ends):
+                traces[which].append((points[start:end], rates[start:end]))
+        return [OptimizationResult(v_m, ratio, rate, rate <= 0.0,
+                                   sum(len(rates) for _, rates in trace), trace)
+                for (rate, v_m, ratio), trace in zip(self.best.tolist(), traces)]
 
     def rates(self, points: np.ndarray, owner: np.ndarray, axis=None) -> np.ndarray:
         """Analysis-mode rates at points, owner[i] the search of points[i],
-        through one finite_size._rates call.  The block splits are taken on
-        axis, the round's ratio axis, or else at each point.  Raises if and
-        only if some point's oracle raises."""
+        with the block splits taken on axis (see run) or else at each point.
+        Raises if and only if some point's oracle raises."""
         ratios, ratio_owner, index = (points[:, 1], owner, None) if axis is None else axis
         splits = _block_splits(self.blocks, self.splits, ratios, ratio_owner)
         return _rates(points[:, 0], self.kernel[:, owner],
                       splits if index is None else splits[:, index])
 
-    def evaluate(self, points: np.ndarray, owner: np.ndarray, axis=None) -> np.ndarray:
-        """rates, or, where they raise, the points one at a time through the
-        batch, which raises the round's first error."""
+    def replayed(self, points: np.ndarray, owner: np.ndarray, axis=None) -> np.ndarray:
+        """rates, or where they raise, rates point by point: the first error."""
         try:
             return self.rates(points, owner, axis)
         except (ValueError, ArithmeticError):
@@ -344,74 +293,41 @@ class _Group:
         return np.concatenate([self.rates(points[i:i + 1], owner[i:i + 1])
                                for i in range(len(points))])
 
-    def record(self, points: np.ndarray, rates: np.ndarray) -> None:
-        best = self.best[self.active] if self.log else None
-        self.best[self.active] = _incumbents(best, points, rates, self.starts, self.search)
-        self.log.append((self.active, self.starts, points, rates))
-
-    def results(self) -> list[OptimizationResult]:
-        rounds: list[list] = [[] for _ in self.specs]
-        for active, starts, points, rates in self.log:
-            ends = [*starts[1:].tolist(), len(rates)]
-            for search, start, end in zip(active.tolist(), starts.tolist(), ends):
-                rounds[search].append((points[start:end], rates[start:end]))
-        return [OptimizationResult(v_m=v_m, ratio=ratio, rate=rate,
-                                   no_positive_rate=rate <= 0.0,
-                                   evaluations=sum(len(rates) for _, rates in trace),
-                                   _rounds=trace)
-                for (rate, v_m, ratio), trace in zip(self.best.tolist(), rounds)]
-
 
 def _protocol_objective(spec: OptimizationSpec):
-    """Evaluator of a protocol-mode search's rounds over a cache: a fresh
-    point draws one block from the stream indexed by the number of points
-    drawn before it."""
+    """Evaluator of a protocol-mode search's rounds over a cache: a fresh point
+    draws one block, from the stream indexed by the points drawn before it."""
     cache: dict[tuple[float, ...], float] = {}
 
-    def scalar(index: int, v_m: float, ratio: float) -> float:
-        protocol = ProtocolParams(v_m=v_m, xi=spec.xi)
-        fs = FiniteSizeParams.from_ratio(spec.n_bar, ratio, eps_pa=spec.eps_pa)
-        sim = SimulationSpec(spec.channel, v_m, fs.m, trials=1, seed=spec.seed)
-        report = estimate_channel(sample_dataset(sim, trial_index=index), v_m,
-                                  z=spec.z)
-        return finite_size_key_rate(protocol, report, fs, spec.delta_prefactor)
-
     def evaluate(points: np.ndarray, *_) -> np.ndarray:
-        for point in map(tuple, points.tolist()):
-            if point not in cache:
-                cache[point] = scalar(len(cache), *point)
+        for v_m, ratio in map(tuple, points.tolist()):
+            if (v_m, ratio) not in cache:
+                protocol = ProtocolParams(v_m=v_m, xi=spec.xi)
+                fs = FiniteSizeParams.from_ratio(spec.n_bar, ratio, eps_pa=spec.eps_pa)
+                sim = SimulationSpec(spec.channel, v_m, fs.m, trials=1, seed=spec.seed)
+                report = estimate_channel(sample_dataset(sim, trial_index=len(cache)), v_m,
+                                          z=spec.z)
+                cache[v_m, ratio] = finite_size_key_rate(protocol, report, fs,
+                                                         spec.delta_prefactor)
         return np.array([cache[point] for point in map(tuple, points.tolist())])
 
     return evaluate
 
 
-def _grid_refine(evaluate, group: _Group) -> None:
-    """Run a group's searches in lockstep: a grid round, then each search's
-    refinement rounds around its incumbent.  Round k of every search that
-    has one is one evaluate(*group.round(k)) call, which returns the rates."""
-    for k in range(int(group.rounds.max(initial=0))):
-        points, owner, axis = group.round(k)
-        group.record(points, evaluate(points, owner, axis))
-
-
 def _optimize(spec: OptimizationSpec) -> OptimizationResult:
-    """The spec's search on its own: analysis rounds through _Group.evaluate,
-    protocol rounds through the block draws."""
+    """The spec's search alone: analysis rounds replayed where they raise."""
     group = _Group([spec])
-    _grid_refine(group.evaluate if spec.mode == "analysis" else _protocol_objective(spec),
-                 group)
-    return group.results()[0]
+    return group.run(group.replayed if spec.mode == "analysis"
+                     else _protocol_objective(spec))[0]
 
 
 def optimize_key_rate(spec: OptimizationSpec) -> OptimizationResult:
-    """Deterministic search for the best (v_m, ratio) pair.
-
-    Refinement never returns a point worse than the coarse-grid incumbent
-    because the incumbent is carried across rounds, and the reported rate
-    equals a re-evaluation at the winning point exactly: analysis-mode
-    values are bitwise the oracle's, and protocol mode serves repeated
-    points from its cache.  A spec with n_bar=None searches K_inf over v_m.
-    """
+    """Deterministic search for the best (v_m, ratio) pair.  Refinement
+    never returns a point worse than the coarse-grid incumbent, which is
+    carried across rounds, and the reported rate equals a re-evaluation at
+    the winning point exactly: analysis-mode values are bitwise the
+    oracle's, and protocol mode serves repeated points from its cache.  A
+    spec with n_bar=None searches K_inf over v_m."""
     return _optimize(spec)
 
 
@@ -430,17 +346,14 @@ def optimize_asymptotic(channel: ChannelParams, xi: float,
 
 def optimize_lockstep(specs) -> list[OptimizationResult]:
     """Run many analysis-mode searches in lockstep, one kernel call per round
-    for all of them.
-
-    specs is an iterable of analysis-mode OptimizationSpecs, K_inf
-    searches (n_bar=None) among them.  Returns what optimize_key_rate
-    returns for each, in order, bit for bit.  The error raised is the one
-    that running each spec as soon as specs produces it raises first: a
-    raising round reruns the searches one at a time, in order, and a
-    raising producer is re-raised only after the specs before it ran.  A
-    protocol-mode search draws its blocks in its own order, so it is
-    rejected before anything runs; run it with optimize_key_rate.
-    """
+    for all of them.  specs is an iterable of analysis-mode
+    OptimizationSpecs, K_inf searches (n_bar=None) among them.  Returns what
+    optimize_key_rate returns for each, in order, bit for bit.  The error
+    raised is the one that running each spec as soon as specs produces it
+    raises first: a raising round reruns the searches one at a time, in
+    order, and a raising producer is re-raised only after the specs before
+    it ran.  A protocol-mode search draws its blocks in its own order, so
+    it is rejected before anything runs; run it with optimize_key_rate."""
     built, error = [], None
     try:
         for spec in specs:
@@ -452,8 +365,7 @@ def optimize_lockstep(specs) -> list[OptimizationResult]:
                                  "run a protocol-mode search with optimize_key_rate")
     try:
         group = _Group(built)
-        _grid_refine(group.rates, group)
-        results = group.results()
+        results = group.run(group.rates)
     except (ValueError, ArithmeticError):
         # one at a time, the searches raise the sequential run's first error
         results = [_optimize(spec) for spec in built]

@@ -127,7 +127,7 @@ class TestRoundsMatchTheOracle:
     def test_round_equals_scalar_objective(self, drawn):
         spec, points = drawn
         expected = outcome(lambda: [oracle_rate(spec, *point) for point in points])
-        assert outcome(lambda: _Group([spec]).evaluate(
+        assert outcome(lambda: _Group([spec]).replayed(
             np.array(points), np.zeros(len(points), int))) == expected
 
     @settings(max_examples=300, deadline=None)

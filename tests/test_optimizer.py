@@ -22,9 +22,48 @@ from cvmdi import (
 )
 from cvmdi import optimizer
 from cvmdi.keyrate import key_rate_batch
-from cvmdi.optimizer import _better, _incumbent, _linear_window, _log_window
+from cvmdi.optimizer import _incumbents, _windows
 
 CHANNEL = ChannelParams.two_mode_optimal(0.98, db_to_transmissivity(2.0), 1.01, 1.01)
+
+
+# The scalar rules that the optimizer's array passes reproduce bit for bit.
+
+def _better(candidate: tuple[float, ...], best: tuple[float, ...]) -> bool:
+    # Candidates are (rate, v_m[, ratio]).  Larger rate wins; ties prefer
+    # smaller v_m, then larger ratio.
+    if candidate[0] != best[0]:
+        return candidate[0] > best[0]
+    if candidate[1] != best[1]:
+        return candidate[1] < best[1]
+    return candidate[2:] > best[2:]
+
+
+def _incumbent(best, points: np.ndarray, rates: np.ndarray):
+    """optimizer._incumbents of one search, with best and the result as
+    tuples."""
+    best = None if best is None else np.array([best])
+    return tuple(_incumbents(best, points, rates, np.zeros(1, int),
+                             np.zeros(len(rates), int))[0].tolist())
+
+
+def _log_window(center: float, count: int, lo: float, hi: float, factor: float):
+    """Log-spaced window over 1/factor of the decades of [lo, hi], centred
+    on center as far as the bounds allow."""
+    lo_l, hi_l = math.log10(lo), math.log10(hi)
+    width = (hi_l - lo_l) / factor
+    if width == 0.0:
+        return [center]
+    start = min(max(math.log10(center) - width / 2.0, lo_l), hi_l - width)
+    return np.logspace(start, start + width, count)
+
+
+def _linear_window(center: float, count: int, lo: float, hi: float, factor: float):
+    width = (hi - lo) / factor
+    if width == 0.0:
+        return [center]
+    start = min(max(center - width / 2.0, lo), hi - width)
+    return np.linspace(start, start + width, count)
 
 
 def small_spec(**overrides):
@@ -89,7 +128,6 @@ class TestOptimizeKeyRate:
     def test_tie_breaking_prefers_small_modulation(self):
         # a flat surface (penalty prefactor dominates; rate all equal) is
         # impossible to build exactly, so exercise the comparator directly
-        from cvmdi.optimizer import _better
         assert _better((1.0, 2.0, 0.5), (1.0, 3.0, 0.5))
         assert _better((1.0, 2.0, 0.6), (1.0, 2.0, 0.5))
         assert not _better((1.0, 2.0, 0.5), (1.0, 2.0, 0.6))
@@ -253,7 +291,7 @@ class TestLockstep:
 
     def test_a_protocol_spec_is_rejected_before_anything_runs(self, monkeypatch):
         runs = []
-        monkeypatch.setattr(optimizer, "_grid_refine", lambda *args: runs.append(args))
+        monkeypatch.setattr(optimizer._Group, "run", lambda *args: runs.append(args))
         near_lossless = ChannelParams.pure_loss(0.999257, 1.0)
 
         def produced():
