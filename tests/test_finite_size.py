@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cvmdi import (
     ChannelParams,
@@ -15,6 +17,7 @@ from cvmdi import (
     ProtocolParams,
     report_from_parameters,
 )
+from cvmdi.finite_size import _block_splits, _split_table
 
 
 class TestFiniteSizeParams:
@@ -148,3 +151,98 @@ class TestFiniteSizeKeyRate:
         assert k_inf_worst == pytest.approx(
             asymptotic_key_rate(self.protocol, self.channel.tau_a,
                                 self.channel.tau_b, noise), rel=5e-2)
+
+
+# The block split of a search round: array arithmetic while 3 <= n_bar <=
+# 2**53 and the parameters are valid, the Python route elsewhere.  Both are
+# held to FiniteSizeParams.from_ratio plus finite_size_penalty, bit for bit.
+
+def python_split(n_bar, ratio, eps_pa, prefactor):
+    """(m, key fraction, penalty) by the scalar route, or its error."""
+    try:
+        fs = FiniteSizeParams.from_ratio(n_bar, ratio, eps_pa=eps_pa)
+        return [float(fs.m).hex(), fs.ratio.hex(),
+                finite_size_penalty(fs.n, eps_pa, prefactor).hex()]
+    except Exception as exc:  # whatever the scalar route raises
+        return type(exc), str(exc)
+
+
+def scalar_splits(n_bar, ratios, eps_pa, prefactor):
+    """python_split at each ratio, or the first error among them."""
+    splits = [python_split(n_bar, ratio, eps_pa, prefactor) for ratio in ratios]
+    return next((split for split in splits if isinstance(split, tuple)), splits)
+
+
+def batch_split(n_bar, ratios, eps_pa, prefactor):
+    """_block_splits of one block at ratios, per ratio, or its error."""
+    blocks = [(n_bar, eps_pa, prefactor)]
+    try:
+        splits = _block_splits(blocks, _split_table(blocks), np.array(ratios),
+                               np.zeros(len(ratios), int))
+        return [[x.hex() for x in column] for column in splits.T.tolist()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+unit_ratios = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+eps_pas = st.floats(1e-300, 1.0, exclude_max=True) | st.sampled_from((1e-10, 0.5))
+prefactors = st.floats(0.0, 1e6) | st.sampled_from((0.0, 1.0, 1e300))
+
+
+@st.composite
+def edge_ratios(draw, n_bar):
+    """Ratios where ratio * n_bar lands on k + 1/2 (exact when n_bar is a
+    power of two), or where m clamps to 2 or to n_bar - 1."""
+    k = draw(st.integers(0, n_bar - 1))
+    return draw(st.sampled_from((
+        (k + 0.5) / n_bar, (k + 1.5) / n_bar if k + 2 < n_bar else 0.5,
+        0.5 / n_bar, 1.5 / n_bar, 5e-324, 1e-300,
+        (n_bar - 0.5) / n_bar, (n_bar - 1.5) / n_bar, 1.0 - 2.0 ** -53)))
+
+
+class TestBlockSplits:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_bar=st.integers(3, 2 ** 53) | st.sampled_from((3, 4, 2 ** 53)),
+           eps_pa=eps_pas, prefactor=prefactors)
+    def test_array_split_is_the_scalar_split(self, data, n_bar, eps_pa, prefactor):
+        ratios = data.draw(st.lists(unit_ratios | edge_ratios(n_bar), min_size=1,
+                                    max_size=8))
+        assert _split_table([(n_bar, eps_pa, prefactor)])[0, 0] == n_bar  # array route
+        assert batch_split(n_bar, ratios, eps_pa, prefactor) == scalar_splits(
+            n_bar, ratios, eps_pa, prefactor)
+
+    @settings(max_examples=200, deadline=None)
+    @given(exponent=st.integers(2, 52), data=st.data())
+    def test_half_way_products_round_to_even(self, exponent, data):
+        # n_bar = 2**e makes (k + 1/2) / n_bar and its product with n_bar exact
+        n_bar = 2 ** exponent
+        k = data.draw(st.integers(0, n_bar - 1))
+        ratio = (k + 0.5) / n_bar
+        assert ratio * n_bar == k + 0.5
+        assert batch_split(n_bar, [ratio], 1e-10, 1.0) == scalar_splits(
+            n_bar, [ratio], 1e-10, 1.0)
+
+    @pytest.mark.parametrize("n_bar, ratio, m", [
+        (10, 0.95, 2), (10, 0.01, 9), (3, 0.999, 2), (3, 1e-300, 2), (4, 1e-300, 3)])
+    def test_clamps(self, n_bar, ratio, m):
+        (split,) = batch_split(n_bar, [ratio], 1e-10, 1.0)
+        assert float.fromhex(split[0]) == m
+        assert [split] == scalar_splits(n_bar, [ratio], 1e-10, 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_bar=st.integers(2 ** 53 + 1, 10 ** 30) | st.integers(-5, 2) | st.integers(3, 10 ** 6)
+           | st.sampled_from((2 ** 53 + 1, 2 ** 64 + 3, 10 ** 20 + 7)),
+           eps_pa=eps_pas | st.sampled_from((0.0, 1.0, 1.5, -0.1, math.nan, 1e-320)),
+           prefactor=prefactors | st.sampled_from((-1.0, math.nan, math.inf, 1e308, 1e307)),
+           ratio=unit_ratios)
+    def test_python_route_gives_the_scalar_result_or_error(self, n_bar, eps_pa, prefactor,
+                                                          ratio):
+        assume(not (3 <= n_bar <= 2 ** 53 and 0.0 < eps_pa < 1.0 and 0.0 <= prefactor
+                    and prefactor * math.sqrt(math.log2(2.0 / eps_pa)) < math.inf))
+        assert math.isnan(_split_table([(n_bar, eps_pa, prefactor)])[0, 0])
+        assert batch_split(n_bar, [ratio, 0.5], eps_pa, prefactor) == scalar_splits(
+            n_bar, [ratio, 0.5], eps_pa, prefactor)
+
+    def test_block_without_size_is_at_n_bar_inf(self):
+        assert batch_split(None, [1.0, 1.0], 1e-10, 1.0) == [
+            [math.inf.hex(), (1.0).hex(), (0.0).hex()]] * 2

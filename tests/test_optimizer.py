@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,23 @@ class TestOptimizeAsymptotic:
             OptimizationSpec(CHANNEL, 0.98, None, mode="protocol")
 
 
+@st.composite
+def window_searches(draw):
+    """One search's v_m hull, incumbent and grid length, then its ratio
+    hull, incumbent and grid length: a hull may be one point, and the
+    incumbent may sit at either end.  A grid of one point has lo == hi."""
+    def axis(values, top):
+        lo, hi = sorted((draw(values), draw(values)))
+        count = draw(st.integers(1, 30))
+        if count == 1 or draw(st.integers(0, 5)) == 0:
+            lo = hi = draw(st.sampled_from((hi, top)))
+        return lo, hi, draw(st.sampled_from((lo, hi)) | st.floats(lo, hi)), count
+
+    # a one-point hull at the largest float, whose window is its centre
+    return (*axis(st.floats(-3.0, 300.0).map(lambda e: 10.0 ** e), 1.7976931348623157e308),
+            *axis(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), 0.5))
+
+
 class TestRefinementWindows:
     @pytest.mark.parametrize("window, center, lo, hi", [
         (_log_window, 30.0, 1.0, 1e3),
@@ -185,6 +203,33 @@ class TestRefinementWindows:
     def test_zero_width_window_keeps_the_incumbent(self, window, center, lo, hi):
         # a factor past the hull's width, or a one-point hull, leaves no width
         assert window(center, 9, lo, hi, math.inf) == [center]
+
+    @settings(max_examples=300, deadline=None)
+    @given(searches=st.lists(window_searches(), min_size=1, max_size=5),
+           factor=st.sampled_from([4.0 ** k for k in (1, 2, 3, 8, 30, 500, 511)]
+                                  + [math.inf]))
+    def test_broadcast_windows_are_the_scalar_windows(self, searches, factor):
+        v_lo, v_hi, v_c, n_v, r_lo, r_hi, r_c, n_r = np.array(searches, dtype=object).T
+        log10 = np.vectorize(math.log10, otypes=[float])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a one-point hull at 1.8e308 has no power
+            values, counts = _windows(
+                np.array([v_c, r_c], float), np.array([log10(v_lo), r_lo], float),
+                np.array([log10(v_hi), r_hi], float), np.array([n_v, n_r], int), factor)
+        windows = [_log_window(*row, factor) for row in zip(v_c, n_v, v_lo, v_hi)]
+        windows += [_linear_window(*row, factor) for row in zip(r_c, n_r, r_lo, r_hi)]
+        assert counts.ravel().tolist() == [len(window) for window in windows]
+        assert [x.hex() for x in values.tolist()] == [
+            float(x).hex() for window in windows for x in window]
+
+    def test_a_step_that_underflows_takes_the_zero_step_branch(self):
+        # width 10 subnormal units over 29 steps: np.linspace scales the
+        # index by width / 29, not by a step that rounds to 0
+        window = _linear_window(2e-322, 30, 1e-322, 3e-322, 4.0)
+        assert len(set(window.tolist())) > 2
+        values, _ = _windows(np.array([[1.0], [2e-322]]), np.array([[0.0], [1e-322]]),
+                             np.array([[0.0], [3e-322]]), np.array([[1], [30]]), 4.0)
+        assert [x.hex() for x in values[1:].tolist()] == [x.hex() for x in window.tolist()]
 
     def test_overflowing_shrink_factor_is_a_configuration_error(self):
         # 4.0 ** 512 overflows a float
@@ -335,3 +380,26 @@ class TestLockstep:
         got = _incumbent(best, np.array([coords for _, coords in rows]),
                          np.array([rate for rate, _ in rows]))
         assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), first_round=st.booleans())
+    def test_incumbents_of_a_group_are_each_search_scan(self, data, first_round):
+        rates = st.sampled_from((math.nan, -math.inf, -1.0, -0.0, 0.0, 2.5, math.inf))
+        point = st.tuples(*[st.sampled_from((1.0, 2.0, 3.0))] * 2)
+        row = st.tuples(rates, point).map(lambda row: (row[0], *row[1]))
+        searches = data.draw(st.lists(st.tuples(row, st.lists(row, min_size=1, max_size=6)),
+                                      min_size=1, max_size=5))
+        expected = []
+        for best, rows in searches:
+            best = None if first_round else best
+            for candidate in rows:
+                if best is None or (candidate[0] >= best[0] and _better(candidate, best)):
+                    best = candidate
+            expected.append(best)
+        rows = np.array([row for _, rows in searches for row in rows])
+        sizes = [len(rows) for _, rows in searches]
+        got = _incumbents(None if first_round else np.array([best for best, _ in searches]),
+                          rows[:, 1:], rows[:, 0], np.cumsum([0] + sizes[:-1]),
+                          np.repeat(np.arange(len(sizes)), sizes))
+        assert [[x.hex() for x in best] for best in got.tolist()] == [
+            [x.hex() for x in best] for best in expected]
