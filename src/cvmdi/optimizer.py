@@ -18,13 +18,13 @@ broadcast (_windows) builds every window, a search's points are the
 row-major product of its axes, and one segmented reduction (_incumbents)
 takes every incumbent by the scalar rule: a larger rate, then a smaller
 v_m, a larger ratio, the earlier point; a NaN never takes over, and a NaN
-first point stays.  In analysis mode a round is one _block_splits call on
-its ratio axis and one _rates call (both in finite_size), each value
-bitwise its scalar oracle's (projected_key_rate, asymptotic_key_rate),
-and it raises if and only if the oracle raises at some point.
-optimize_lockstep then reruns its searches one at a time, in order, and a
-search on its own replays the round point by point through the batch, so
-the error raised is the one the sequential run meets first.  The scalar
+first point stays.  In analysis mode a round is one finite_size._rates
+call after one _block_splits call on its ratio axis, in arrays save where
+n_bar > 2**53 or a parameter is invalid (Python's from_ratio there); each
+value is bitwise its scalar oracle's, and a round raises if and only if
+the oracle raises at some point.  optimize_lockstep then reruns its
+searches one at a time, and a search on its own replays the round point
+by point, so the error raised is the sequential run's first.  The scalar
 route checks xi and v_m first, so a spec checks its v_m grid.  Protocol
 mode runs one search: a fresh point draws one block, from the stream
 indexed by the number of points drawn before it in the rounds' order, and

@@ -580,9 +580,11 @@ DATA = Path(__file__).resolve().parent / "data"
 class TestGoldenPayloads:
     """Payload bytes of the rate-surface commands, written before their
     searches ran in lockstep, of `rate` and an `optimize` trace, written
-    before the K_inf search became a spec, and of `sweep --v-m`, written
-    before its K_inf became a one-point spec; any change to a printed digit
-    shows here."""
+    before the K_inf search became a spec, of `sweep --v-m`, written
+    before its K_inf became a one-point spec, and of a sweep whose block
+    sizes split in Python (1e20, past 2**53) and in arrays (1e9, 1e6),
+    written before the split moved to arrays; any change to a printed
+    digit shows here."""
 
     @pytest.mark.parametrize("name, argv", [
         ("sweep_default.csv", ("sweep",)),

@@ -203,6 +203,13 @@ class TestRefinementWindows:
     def test_zero_width_window_keeps_the_incumbent(self, window, center, lo, hi):
         # a factor past the hull's width, or a one-point hull, leaves no width
         assert window(center, 9, lo, hi, math.inf) == [center]
+        # the broadcast windows too, the other axis a one-point hull at 0.5
+        row = 0 if window is _log_window else 1
+        hull = np.full((3, 2, 1), 0.5)  # centres, lows and highs
+        hull[:, row, 0] = center, lo, hi
+        hull[1:, 0] = np.log10(hull[1:, 0])
+        values, counts = _windows(*hull, np.full((2, 1), 9), math.inf)
+        assert values[row] == center and counts.ravel().tolist() == [1, 1]
 
     @settings(max_examples=300, deadline=None)
     @given(searches=st.lists(window_searches(), min_size=1, max_size=5),
